@@ -222,32 +222,14 @@ func main() {
 
 	dispatchNote := "single-node"
 	if *peers != "" {
-		opts := dispatch.Options{
+		d, err := dispatch.New(dispatch.Options{
 			Peers:       splitPeers(*peers),
 			Local:       sched,
 			MaxInflight: *inflight,
 			Tracer:      sched.Metrics().Tracer(),
 			Registry:    sched.Metrics().Registry(),
 			Journal:     sched.Metrics().Journal(),
-		}
-		if st != nil {
-			// On a retry after a backend death, serve the job from the
-			// local store when replication (or a past run) already holds
-			// the key — byte-identical, no engine re-run.
-			opts.WarmLocal = func(job serve.Job, maxCycles int) bool {
-				return st.HasRun(store.RunKeyFor(job.Config, job.Method, maxCycles))
-			}
-		}
-		if rep != nil {
-			opts.SyncedPeers = rep.SyncedPeers
-			if rep.GossipEnabled() {
-				// Hinted handoff: a result computed while its ring owner was
-				// down is recorded durably and pushed over when a probe sees
-				// the owner return.
-				opts.Hints = rep
-			}
-		}
-		d, err := dispatch.New(opts)
+		})
 		if err != nil {
 			fatal("jfserved: %v\n", err)
 		}

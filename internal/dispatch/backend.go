@@ -18,7 +18,7 @@ import (
 )
 
 // A Backend executes one dispatched job: a remote jfserved instance over
-// HTTP, the in-process scheduler, or a test double. Implementations must
+// HTTP or a test double. Implementations must
 // be safe for concurrent use; errors other than *fabric.LoadError and
 // context cancellation are treated as transient and retried on another
 // node.
@@ -143,16 +143,4 @@ func (r *Remote) Healthy(ctx context.Context) bool {
 	}
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// localBackend adapts the in-process scheduler to the Backend interface —
-// the terminal fallback every dispatched job can land on.
-type localBackend struct {
-	sched *serve.Scheduler
-}
-
-func (l localBackend) Name() string { return "local" }
-
-func (l localBackend) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
-	return l.sched.RunMethodCycles(ctx, job.Config, job.Method, maxCycles)
 }

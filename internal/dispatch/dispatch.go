@@ -35,7 +35,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,9 +93,9 @@ type Options struct {
 	// the failed backend's budget has a token (burst capacity RetryBurst,
 	// refilled at RetryRate tokens per second; <=0 uses
 	// admit.DefaultRetryBurst / admit.DefaultRetryRate). An exhausted
-	// budget sends the job straight to the warm-local/local fallback —
-	// completion and byte-identity hold either way, the budget only
-	// bounds how hard the rest of the fleet is hit on a backend's behalf.
+	// budget sends the job straight to the local scheduler — completion
+	// and byte-identity hold either way, the budget only bounds how hard
+	// the rest of the fleet is hit on a backend's behalf.
 	RetryBurst int
 	RetryRate  float64
 	// DialTimeout / ResponseHeaderTimeout bound the default peer client's
@@ -108,25 +107,6 @@ type Options struct {
 	// (nil uses time.Now and math/rand).
 	Now  func() time.Time
 	Rand func() float64
-	// WarmLocal, when set, reports whether the local persistent store can
-	// already serve job's result warm — e.g. a record anti-entropy
-	// replication (internal/replicate) pulled from the fleet, or one this
-	// node computed before. Consulted after a transient backend failure:
-	// a warm local serve is byte-identical to the dead backend's answer
-	// and skips both the network and the engine. maxCycles arrives
-	// resolved (never 0).
-	WarmLocal func(job serve.Job, maxCycles int) bool
-	// SyncedPeers, when set, lists the backend names (exactly as given in
-	// Peers) whose segment logs this node's replicator has fully caught up
-	// with. On a retry the dispatcher prefers the ring owner among these:
-	// a peer actively exchanging segments holds the fleet's warm results
-	// — including the dead backend's — so the retry is served from its
-	// store instead of re-running the engine on a cold node.
-	SyncedPeers func() []string
-	// Hints, when set, receives hinted-handoff callbacks (see Hints).
-	// replicate.Replicator implements it over durable store meta records
-	// and gossip notifications.
-	Hints Hints
 	// Tracer records dispatch-attempt spans; pass the serving node's
 	// serve.Metrics tracer so one /debug/traces dump covers ingress and
 	// fan-out. Nil disables span recording.
@@ -140,22 +120,6 @@ type Options struct {
 	// events; pass the serving node's serve.Metrics journal. Nil disables
 	// event recording.
 	Journal *obs.Journal
-}
-
-// Hints is the hinted-handoff seam between dispatch (which observes ring
-// owners dying and recovering) and replication (which owns durable state
-// and peer transfer). Both methods are called on job hot paths and must
-// not block on the network: RecordHint may write through the store's
-// write-behind queue; DeliverHints must kick off its transfer in the
-// background.
-type Hints interface {
-	// RecordHint notes that owner (a backend name) was unavailable when
-	// the result for signature was committed somewhere else, so owner is
-	// missing a key it should serve warm.
-	RecordHint(owner, signature string)
-	// DeliverHints is called when a probe observes owner healthy again;
-	// pending hints against it should now be pushed over.
-	DeliverHints(owner string)
 }
 
 // backendState wraps a Backend with its routing health and accounting.
@@ -189,10 +153,6 @@ type Dispatcher struct {
 	failureThreshold int64
 	now              func() time.Time
 
-	warmLocal   func(job serve.Job, maxCycles int) bool
-	syncedPeers func() []string
-	hints       Hints
-
 	tracer      *obs.Tracer
 	journal     *obs.Journal
 	attemptHist *obs.HistogramVec // per backend × outcome, failures included
@@ -200,9 +160,6 @@ type Dispatcher struct {
 	localFallbacks atomic.Int64
 	retries        atomic.Int64
 	retryDenials   atomic.Int64
-	warmLocalHits  atomic.Int64
-	warmRetries    atomic.Int64
-	handoffHints   atomic.Int64
 	ownerRecovers  atomic.Int64
 	suspensions    atomic.Int64
 }
@@ -282,9 +239,6 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 		localSem:         make(chan struct{}, opts.Local.Workers()),
 		failureThreshold: int64(threshold),
 		now:              now,
-		warmLocal:        opts.WarmLocal,
-		syncedPeers:      opts.SyncedPeers,
-		hints:            opts.Hints,
 		tracer:           opts.Tracer,
 		journal:          opts.Journal,
 	}
@@ -320,10 +274,6 @@ func (d *Dispatcher) register(reg *obs.Registry) {
 		func() float64 { return float64(d.localFallbacks.Load()) })
 	reg.CounterFunc("javaflow_dispatch_suspensions_total", "Backends crossing the consecutive-failure threshold into suspension.",
 		func() float64 { return float64(d.suspensions.Load()) })
-	reg.CounterFunc("javaflow_dispatch_warm_local_hits_total", "Retries short-circuited by the local store.",
-		func() float64 { return float64(d.warmLocalHits.Load()) })
-	reg.CounterFunc("javaflow_dispatch_handoff_hints_total", "Hinted handoffs recorded against absent ring owners.",
-		func() float64 { return float64(d.handoffHints.Load()) })
 	for _, bs := range d.backends {
 		bs := bs
 		reg.CounterFunc("javaflow_dispatch_backend_jobs_total", "Jobs completed per backend.",
@@ -463,14 +413,9 @@ func (d *Dispatcher) attempt(ctx context.Context, i int, job serve.Job, maxCycle
 	bs.nextProbe.Store(0)
 	if bs.consecFails.Swap(0) >= d.failureThreshold {
 		// This was the probe that caught a suspended backend recovering.
-		// Hand its hinted-handoff backlog over now, so its next
-		// ring-owned requests are warm instead of cold engine runs.
 		d.ownerRecovers.Add(1)
 		d.journal.Emit("dispatch", "recovery", obs.SevInfo, traceIDFrom(ctx),
 			"backend", bs.b.Name())
-		if d.hints != nil {
-			d.hints.DeliverHints(bs.b.Name())
-		}
 	}
 	return run, err
 }
@@ -491,46 +436,20 @@ func (d *Dispatcher) runLocal(ctx context.Context, job serve.Job, maxCycles int)
 	return run, err
 }
 
-// runJob is the per-job routing policy: ring owner, then — after a
-// transient failure — a warm local serve if the store already holds the
-// key, one retry on a replication-synced peer (falling back to the next
-// node clockwise), then the local scheduler. A job that succeeds
-// anywhere but its true ring owner records a hinted handoff: the owner
-// was suspended or failing, so it is now missing a key it should serve
-// warm, and the hint delivers the result when a probe sees it return.
+// runJob is the per-job routing policy: the ring owner, then — after a
+// transient failure, and only while the owner's retry budget allows — one
+// attempt on the next node clockwise, then the local scheduler. The local
+// scheduler reads through its store, so a key this node already holds
+// (computed here or pulled in by replication) is served warm.
 func (d *Dispatcher) runJob(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
 	sig := job.Method.Signature()
-	run, servedOn, err := d.runJobRouted(ctx, sig, job, maxCycles)
-	if err == nil && d.hints != nil {
-		// The unfiltered ring owner (nil skip): who *should* hold this
-		// key, suspended or not.
-		if owner := d.ring.owner(sig, nil); owner >= 0 && owner != servedOn {
-			d.handoffHints.Add(1)
-			d.hints.RecordHint(d.backends[owner].b.Name(), sig)
-		}
-	}
-	return run, err
-}
-
-// runJobRouted is runJob's routing body; servedOn is the backend index
-// that produced the result (-1 for the local scheduler).
-func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job, maxCycles int) (run sim.MethodRun, servedOn int, err error) {
-	first := d.route(sig, -1)
-	if first >= 0 {
-		run, err = d.attempt(ctx, first, job, maxCycles)
+	if first := d.route(sig, -1); first >= 0 {
+		run, err := d.attempt(ctx, first, job, maxCycles)
 		if err == nil || !transient(ctx, err) {
-			return run, first, err
+			return run, err
 		}
 		d.retries.Add(1)
 		d.backends[first].retriedAway.Add(1)
-		// A dead backend's results are not lost to the fleet: replication
-		// pulled its segments here, so a key the fleet ever computed is
-		// served from the local store — byte-identical, no engine run.
-		if d.warmLocal != nil && d.warmLocal(job, maxCycles) {
-			d.warmLocalHits.Add(1)
-			run, err = d.runLocal(ctx, job, maxCycles)
-			return run, -1, err
-		}
 		// The network retry spends from the failed backend's token bucket:
 		// with the budget exhausted the job goes straight to the local
 		// fallback (same bytes, no retry amplification against the fleet).
@@ -539,10 +458,10 @@ func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job
 			d.retryDenials.Add(1)
 			d.journal.Emit("dispatch", "retry_denied", obs.SevWarn, traceIDFrom(ctx),
 				"backend", d.backends[first].b.Name())
-		} else if second := d.routeRetry(sig, first); second >= 0 {
+		} else if second := d.route(sig, first); second >= 0 {
 			run, err = d.attempt(ctx, second, job, maxCycles)
 			if err == nil || !transient(ctx, err) {
-				return run, second, err
+				return run, err
 			}
 		}
 	}
@@ -552,8 +471,7 @@ func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job
 		// everything locally by construction.
 		d.journal.Emit("dispatch", "local_fallback", obs.SevInfo, traceIDFrom(ctx), "sig", sig)
 	}
-	run, err = d.runLocal(ctx, job, maxCycles)
-	return run, -1, err
+	return d.runLocal(ctx, job, maxCycles)
 }
 
 // traceIDFrom extracts the active trace ID for journal events ("" when
@@ -561,30 +479,6 @@ func (d *Dispatcher) runJobRouted(ctx context.Context, sig string, job serve.Job
 func traceIDFrom(ctx context.Context) string {
 	tc, _ := obs.TraceFrom(ctx)
 	return tc.TraceID
-}
-
-// routeRetry picks the second node for a job whose ring owner failed.
-// With a SyncedPeers hook it prefers the ring owner among the peers whose
-// stores replication has caught up with (they hold every warm result the
-// fleet has, including the failed node's); otherwise — or when no synced
-// peer is routable — it is the plain next-node-clockwise policy.
-func (d *Dispatcher) routeRetry(sig string, exclude int) int {
-	if d.syncedPeers != nil {
-		synced := make(map[string]bool)
-		for _, name := range d.syncedPeers() {
-			synced[name] = true
-		}
-		if len(synced) > 0 {
-			i := d.ring.owner(sig, func(i int) bool {
-				return i == exclude || !synced[d.backends[i].b.Name()] || d.suspended(i)
-			})
-			if i >= 0 {
-				d.warmRetries.Add(1)
-				return i
-			}
-		}
-	}
-	return d.route(sig, exclude)
 }
 
 // maxCyclesOrDefault resolves the effective per-execution bound. Remotes
@@ -607,82 +501,22 @@ func (d *Dispatcher) RunBatchCycles(ctx context.Context, jobs []serve.Job, maxCy
 // workerCount sizes the fan-out pool to the fleet's aggregate capacity:
 // every backend's inflight bound plus the local pool, so the dispatcher
 // can saturate all backends at once without spawning a goroutine per job.
-func (d *Dispatcher) workerCount(jobs int) int {
+func (d *Dispatcher) workerCount() int {
 	w := cap(d.localSem)
 	for _, bs := range d.backends {
 		w += cap(bs.sem)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }
 
 // RunBatchStream is RunBatchCycles with incremental delivery: emit (when
 // non-nil) receives each completed result exactly once, in submission
-// order.
+// order. The fan-out runs on the same pool as serve.Scheduler.
 func (d *Dispatcher) RunBatchStream(ctx context.Context, jobs []serve.Job, maxCycles int, emit func(i int, r serve.JobResult)) []serve.JobResult {
-	results := make([]serve.JobResult, len(jobs))
-	for i, j := range jobs {
-		results[i].Job = j
-	}
-	if len(jobs) == 0 {
-		return results
-	}
 	maxCycles = d.maxCyclesOrDefault(maxCycles)
-
-	indexes := make(chan int)
-	// Buffered for the whole batch so workers and the feeder never block
-	// on the collector.
-	completed := make(chan int, len(jobs))
-	var wg sync.WaitGroup
-	for w := d.workerCount(len(jobs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indexes {
-				run, err := d.runJob(ctx, jobs[i], maxCycles)
-				results[i].Run = run
-				results[i].Err = err
-				completed <- i
-			}
-		}()
-	}
-	go func() {
-	feed:
-		for i := range jobs {
-			select {
-			case indexes <- i:
-			case <-ctx.Done():
-				// Jobs never handed to a worker report the cancellation;
-				// delivered jobs stamp it via runJob's own ctx checks.
-				for k := i; k < len(jobs); k++ {
-					results[k].Err = ctx.Err()
-					completed <- k
-				}
-				break feed
-			}
-		}
-		close(indexes)
-		wg.Wait()
-		close(completed)
-	}()
-
-	done := make([]bool, len(results))
-	next := 0
-	for i := range completed {
-		done[i] = true
-		for next < len(results) && done[next] {
-			if emit != nil {
-				emit(next, results[next])
-			}
-			next++
-		}
-	}
-	return results
+	return serve.RunPool(ctx, jobs, d.workerCount(), func(ctx context.Context, job serve.Job) (sim.MethodRun, error) {
+		return d.runJob(ctx, job, maxCycles)
+	}, emit)
 }
 
 // BackendStats is one backend's slice of Stats.
@@ -715,18 +549,8 @@ type Stats struct {
 	RetryBudgetDenials int64 `json:"retryBudgetDenials"`
 	// LocalFallbacks counts jobs that ended on the in-process scheduler.
 	LocalFallbacks int64 `json:"localFallbacks"`
-	// WarmLocalHits counts retries short-circuited by the local store
-	// already holding the key (replicated or previously computed).
-	WarmLocalHits int64 `json:"warmLocalHits"`
-	// WarmRetries counts retries routed to a replication-synced peer in
-	// preference to the plain next node clockwise.
-	WarmRetries int64 `json:"warmRetries"`
-	// HandoffHints counts jobs that completed away from their true ring
-	// owner and recorded a hinted handoff against it.
-	HandoffHints int64 `json:"handoffHints"`
 	// OwnerRecoveries counts probes that caught a suspended backend
-	// healthy again (each triggers hint delivery when a Hints seam is
-	// wired).
+	// healthy again.
 	OwnerRecoveries int64 `json:"ownerRecoveries"`
 	// Suspensions counts backends crossing the consecutive-failure
 	// threshold into suspension (once per streak, not per skipped job).
@@ -742,9 +566,6 @@ func (d *Dispatcher) Stats() Stats {
 		Retries:            d.retries.Load(),
 		RetryBudgetDenials: d.retryDenials.Load(),
 		LocalFallbacks:     d.localFallbacks.Load(),
-		WarmLocalHits:      d.warmLocalHits.Load(),
-		WarmRetries:        d.warmRetries.Load(),
-		HandoffHints:       d.handoffHints.Load(),
 		OwnerRecoveries:    d.ownerRecovers.Load(),
 		Suspensions:        d.suspensions.Load(),
 	}

@@ -537,3 +537,51 @@ func TestDispatchSuspensionAndProbe(t *testing.T) {
 		t.Fatalf("suspended backend took new errors: %+v", st.Backends[0])
 	}
 }
+
+// TestDispatchPreCancelled: a batch submitted under an already cancelled
+// context must stamp context.Canceled on every job without calling any
+// backend or the local scheduler, and still emit each index exactly once,
+// in submission order. Whether a worker or the feeder claims a job first
+// is a scheduling race, so the batch runs many times.
+func TestDispatchPreCancelled(t *testing.T) {
+	clock := newTestClock()
+	b1 := &deadBackend{name: "b1", clock: clock}
+	b2 := &deadBackend{name: "b2", clock: clock}
+	d, err := NewWithBackends([]Backend{b1, b2}, Options{Local: newLocalScheduler()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	jobs := sweepJobs(t, []string{"Compact2", "Hetero2"}, testMethods(t, 8))
+	runsBefore := sim.TotalEngineStats().Runs
+	for round := 0; round < 200; round++ {
+		var order []int
+		results := d.RunBatchStream(ctx, jobs, testMaxCycles, func(i int, r serve.JobResult) {
+			order = append(order, i)
+		})
+		for i, r := range results {
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Fatalf("round %d job %d: err = %v, want context.Canceled", round, i, r.Err)
+			}
+		}
+		if len(order) != len(jobs) {
+			t.Fatalf("round %d: emitted %d results for %d jobs", round, len(order), len(jobs))
+		}
+		for i, idx := range order {
+			if idx != i {
+				t.Fatalf("round %d: emission out of submission order: %v", round, order)
+			}
+		}
+	}
+	if n := len(b1.attemptTimes()) + len(b2.attemptTimes()); n != 0 {
+		t.Fatalf("%d backend calls under a cancelled context, want 0", n)
+	}
+	if runs := sim.TotalEngineStats().Runs; runs != runsBefore {
+		t.Fatalf("engine ran under a cancelled context (runs %d -> %d)", runsBefore, runs)
+	}
+	if st := d.Stats(); st.Retries != 0 || st.LocalFallbacks != 0 {
+		t.Fatalf("cancelled jobs were routed: %+v", st)
+	}
+}

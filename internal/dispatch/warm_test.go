@@ -26,11 +26,11 @@ func hostableMethod(t *testing.T, cfg sim.Config) *classfile.Method {
 	return nil
 }
 
-// TestDispatchWarmLocalRetryServesFromStore: the ring owner dies, but the
+// TestDispatchWarmFallbackServesFromStore: the ring owner dies, but the
 // local store already holds the key (replication pulled it, or this node
-// computed it before) — the retry must serve it from the store without a
-// second network attempt or an engine re-run.
-func TestDispatchWarmLocalRetryServesFromStore(t *testing.T) {
+// computed it before). The job ends on the local scheduler, which reads
+// through its store — byte-identical, with no engine run.
+func TestDispatchWarmFallbackServesFromStore(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -46,109 +46,26 @@ func TestDispatchWarmLocalRetryServesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	missesAfterSeed := st.Stats().RunMisses
+	runsAfterSeed := sim.TotalEngineStats().Runs
 
 	dead := &chaos.FlakyBackend{Inner: NewRemote("http://192.0.2.1:1", nil), FailAfter: -1}
 	dead.Kill()
-	d, err := NewWithBackends([]Backend{dead}, Options{
-		Local: sched,
-		WarmLocal: func(job serve.Job, maxCycles int) bool {
-			return st.HasRun(store.RunKeyFor(job.Config, job.Method, maxCycles))
-		},
-	})
+	d, err := NewWithBackends([]Backend{dead}, Options{Local: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	got := d.RunBatchCycles(context.Background(), []serve.Job{{Config: cfg, Method: m}}, testMaxCycles)
 	if got[0].Err != nil {
-		t.Fatalf("warm retry failed: %v", got[0].Err)
+		t.Fatalf("warm fallback failed: %v", got[0].Err)
 	}
 	if !reflect.DeepEqual(got[0].Run, want) {
-		t.Fatal("warm retry result differs from the computed run")
+		t.Fatal("warm fallback result differs from the computed run")
 	}
-	stats := d.Stats()
-	if stats.WarmLocalHits != 1 {
-		t.Fatalf("warmLocalHits = %d, want 1 (stats %+v)", stats.WarmLocalHits, stats)
+	if runs := sim.TotalEngineStats().Runs; runs != runsAfterSeed {
+		t.Fatalf("engine re-ran a warm key (engine runs %d -> %d)", runsAfterSeed, runs)
 	}
-	if stats.LocalFallbacks != 0 {
-		t.Fatalf("warm serve counted as a blind local fallback: %+v", stats)
-	}
-	if misses := st.Stats().RunMisses; misses != missesAfterSeed {
-		t.Fatalf("engine re-ran a warm key (store misses %d -> %d)", missesAfterSeed, misses)
-	}
-}
-
-// TestDispatchRetryPrefersSyncedPeer: with a SyncedPeers hook, every job
-// whose ring owner is dead must be retried on the replication-synced peer
-// — never on the unsynced one — while ring-owned traffic is unaffected.
-func TestDispatchRetryPrefersSyncedPeer(t *testing.T) {
-	corpus := partitionCorpus()
-	ts2, _ := newPeer(t, corpus)
-	ts3, _ := newPeer(t, corpus)
-	dead := &chaos.FlakyBackend{Inner: NewRemote("http://192.0.2.1:1", nil), FailAfter: -1}
-	dead.Kill()
-	b2 := NewRemote(ts2.URL, nil)
-	b3 := NewRemote(ts3.URL, nil)
-
-	d, err := NewWithBackends([]Backend{dead, b2, b3}, Options{
-		Local: newLocalScheduler(),
-		// Keep the dead node routable so every one of its jobs exercises
-		// the retry path instead of being suspended away.
-		FailureThreshold: 1 << 30,
-		SyncedPeers:      func() []string { return []string{b3.Name()} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pick methods until each backend owns a few signatures.
-	counts := make([]int, 3)
-	var methods []*classfile.Method
-	for _, m := range corpus {
-		owner := d.ring.owner(m.Signature(), nil)
-		if counts[owner] >= 3 {
-			continue
-		}
-		counts[owner]++
-		methods = append(methods, m)
-		if counts[0] >= 3 && counts[1] >= 3 && counts[2] >= 3 {
-			break
-		}
-	}
-	if counts[0] < 3 || counts[1] < 3 || counts[2] < 3 {
-		t.Fatalf("could not partition corpus across 3 backends: %v", counts)
-	}
-
-	jobs := sweepJobs(t, []string{"Compact2"}, methods)
-	perOwner := make([]int64, 3)
-	for _, j := range jobs {
-		perOwner[d.ring.owner(j.Method.Signature(), nil)]++
-	}
-
-	got := d.RunBatchCycles(context.Background(), jobs, testMaxCycles)
-	want := newLocalScheduler().RunBatchCycles(context.Background(), jobs, testMaxCycles)
-	assertSameResults(t, got, want)
-
-	stats := d.Stats()
-	if stats.LocalFallbacks != 0 {
-		t.Fatalf("jobs fell back locally: %+v", stats)
-	}
-	if stats.Retries != perOwner[0] || stats.WarmRetries != perOwner[0] {
-		t.Fatalf("retries = %d, warmRetries = %d, want both %d (every dead-owned job preferred the synced peer)",
-			stats.Retries, stats.WarmRetries, perOwner[0])
-	}
-	for _, b := range stats.Backends {
-		switch b.Name {
-		case b2.Name():
-			if b.Jobs != perOwner[1] {
-				t.Fatalf("unsynced peer served %d jobs, want only its %d ring-owned", b.Jobs, perOwner[1])
-			}
-		case b3.Name():
-			if b.Jobs != perOwner[2]+perOwner[0] {
-				t.Fatalf("synced peer served %d jobs, want its %d ring-owned plus %d retries",
-					b.Jobs, perOwner[2], perOwner[0])
-			}
-		}
+	if stats := d.Stats(); stats.Retries != 1 || stats.LocalFallbacks != 1 {
+		t.Fatalf("want one retry ending on the local scheduler, got %+v", stats)
 	}
 }

@@ -4,18 +4,10 @@
 // exactly that range immediately and relay the rumor onward. TTL plus
 // rumor-ID dedup makes rumors die out; the periodic pull loop stays the
 // repair path for anything a partition or a dropped rumor missed.
-//
-// Hinted handoff rides the same substrate: when dispatch observes that a
-// key's ring owner was down while the result was computed elsewhere, it
-// records a durable hint (a store meta record keyed by the owner's URL);
-// when a probe sees the owner healthy again, the hint turns into one
-// direct notification so the owner pulls the backlog instead of waiting
-// for its own next pull interval.
 package replicate
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -49,13 +41,6 @@ const (
 	// notifyTimeout bounds one outbound notification, including the
 	// receiver's synchronous catch-up pull.
 	notifyTimeout = 30 * time.Second
-	// handoffMetaPrefix namespaces durable hinted-handoff meta records in
-	// the store ("meta|handoff|<owner URL>").
-	handoffMetaPrefix = "handoff|"
-	// maxHintSignatures bounds one owner's hint record; past that the
-	// hint's delivery already pushes the full manifest, so dropping the
-	// per-signature detail loses nothing but operator color.
-	maxHintSignatures = 256
 )
 
 // ErrGossipDisabled reports a gossip entry point on a pull-only
@@ -115,9 +100,6 @@ type gossip struct {
 	sent, sendErrors, received atomic.Int64
 	duplicates, unknownOrigin  atomic.Int64
 	pulls, relayed             atomic.Int64
-	hintsRecorded              atomic.Int64
-	hintsDelivered, hintErrors atomic.Int64
-	hintMu                     sync.Mutex // serializes hint-record read-modify-write
 }
 
 // newGossip sizes the fanout for a fleet of peerCount peers.
@@ -194,8 +176,8 @@ func (r *Replicator) startGossip(ctx context.Context) <-chan struct{} {
 
 // AdvertiseNow flushes the store and pushes the not-yet-advertised
 // segment delta at GossipFanout random peers. It is a no-op when nothing
-// grew since the last successful advertisement. Exposed for hinted
-// handoff and tests; the notifier loop is the normal caller.
+// grew since the last successful advertisement. Exposed for tests; the
+// notifier loop is the normal caller.
 //
 // The advertisement runs under its own trace span (a fresh trace unless
 // the caller's ctx already carries one), and the minted context flows
@@ -491,12 +473,6 @@ type GossipStats struct {
 	PullsTriggered int64 `json:"pullsTriggered"`
 	// Relayed counts onward forwards of fresh rumors.
 	Relayed int64 `json:"relayed"`
-	// HintsRecorded / HintsDelivered count hinted-handoff writes and
-	// successful deliveries to recovered owners; HintErrors counts
-	// failed delivery attempts (retried on the owner's next recovery).
-	HintsRecorded  int64 `json:"hintsRecorded"`
-	HintsDelivered int64 `json:"hintsDelivered"`
-	HintErrors     int64 `json:"hintErrors"`
 }
 
 // gossipStats snapshots the gossip counters (nil when gossip is off).
@@ -516,95 +492,5 @@ func (r *Replicator) gossipStats() *GossipStats {
 		UnknownOrigin:  g.unknownOrigin.Load(),
 		PullsTriggered: g.pulls.Load(),
 		Relayed:        g.relayed.Load(),
-		HintsRecorded:  g.hintsRecorded.Load(),
-		HintsDelivered: g.hintsDelivered.Load(),
-		HintErrors:     g.hintErrors.Load(),
 	}
-}
-
-// hintValue is the durable hint record body: which signatures the owner
-// missed while it was down. Delivery pushes the full manifest (cursor
-// comparison on the owner's side pulls only what it lacks), so the
-// signature list is operator color, not the transfer unit.
-type hintValue struct {
-	Signatures []string `json:"signatures"`
-}
-
-// RecordHint durably notes that owner — a ring peer, by base URL — was
-// unavailable when this node committed the result for signature, so the
-// owner is missing a key it should serve warm. Implements dispatch's
-// Hints seam. Hints are written through the store's ordered log as meta
-// records; they never replicate (Ingest skips meta), so each node only
-// delivers what it witnessed.
-func (r *Replicator) RecordHint(owner, signature string) {
-	g := r.g
-	if g == nil {
-		return
-	}
-	owner = normalizePeer(owner)
-	if owner == "" {
-		return
-	}
-	g.hintMu.Lock()
-	defer g.hintMu.Unlock()
-	var hv hintValue
-	if val, ok := r.st.GetMeta(handoffMetaPrefix + owner); ok {
-		_ = json.Unmarshal(val, &hv)
-	}
-	for _, s := range hv.Signatures {
-		if s == signature {
-			return // already hinted; no extra log traffic
-		}
-	}
-	if len(hv.Signatures) < maxHintSignatures {
-		hv.Signatures = append(hv.Signatures, signature)
-	}
-	data, _ := json.Marshal(hv)
-	r.st.PutMeta(handoffMetaPrefix+owner, data)
-	g.hintsRecorded.Add(1)
-}
-
-// DeliverHints checks for a pending hint against owner and, if one
-// exists, pushes this node's full manifest at it as one direct TTL-1
-// notification — the owner's cursor comparison pulls exactly the backlog
-// it missed. Called by dispatch when a probe sees the owner healthy
-// again; the delivery runs detached so the probing job is never blocked
-// on it. Implements dispatch's Hints seam.
-func (r *Replicator) DeliverHints(owner string) {
-	g := r.g
-	if g == nil {
-		return
-	}
-	owner = normalizePeer(owner)
-	g.hintMu.Lock()
-	val, ok := r.st.GetMeta(handoffMetaPrefix + owner)
-	g.hintMu.Unlock()
-	var hv hintValue
-	if !ok || json.Unmarshal(val, &hv) != nil || len(hv.Signatures) == 0 {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), notifyTimeout)
-		defer cancel()
-		if err := r.st.Flush(); err != nil {
-			g.hintErrors.Add(1)
-			return
-		}
-		manifest, err := r.st.Manifest()
-		if err != nil || len(manifest) == 0 {
-			g.hintErrors.Add(1)
-			return
-		}
-		n := Notification{Origin: g.advertise, TTL: 1, Segments: manifest}
-		if err := r.postNotify(ctx, owner, n); err != nil {
-			g.hintErrors.Add(1)
-			r.logff("replicate: handoff to %s failed (kept for next recovery): %v", owner, err)
-			return
-		}
-		g.hintMu.Lock()
-		r.st.PutMeta(handoffMetaPrefix+owner, []byte("{}"))
-		g.hintMu.Unlock()
-		g.hintsDelivered.Add(1)
-		r.logff("replicate: delivered handoff hint to recovered owner %s (%d signature(s))", owner, len(hv.Signatures))
-	}()
 }

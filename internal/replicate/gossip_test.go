@@ -12,10 +12,6 @@ import (
 	"javaflow/internal/store"
 )
 
-// handoffMetaPrefix mirrors the replicator's hint namespace — pinned here
-// so a rename upstream fails a test instead of orphaning durable hints.
-const handoffMetaPrefix = "handoff|"
-
 // newGossipReplicator builds a push-enabled replicator: advertise is the
 // URL peers reach this node at, and the hour-long pull interval guarantees
 // that anything converging inside a test did so via push, not the repair
@@ -288,63 +284,5 @@ func TestGossipRelayChain(t *testing.T) {
 	})
 	if err != nil || out.Result != "unknown-origin" || out.Relayed != 0 {
 		t.Fatalf("stranger rumor: outcome %+v err %v, want unknown-origin with no relay", out, err)
-	}
-}
-
-// TestHandoffHintRecordAndDeliver drives the hinted-handoff seam directly:
-// recording is durable, idempotent per signature, and normalized; delivery
-// pushes the backlog at the recovered owner and clears the hint.
-func TestHandoffHintRecordAndDeliver(t *testing.T) {
-	methods := hostableMethods(t, 1)
-	cfg := compact2(t)
-	src := newNode(t, methods)
-	dst := newNode(t, methods)
-
-	srcRep := newGossipReplicator(t, src.st, src.ts.URL, dst.ts.URL)
-	dstRep := newGossipReplicator(t, dst.st, dst.ts.URL, src.ts.URL)
-	dst.svc.SetReplicator(dstRep)
-
-	src.compute(t, methods[0])
-	sig := methods[0].Signature()
-
-	// Record under a sloppily spelled owner URL; the durable key must be
-	// canonical, and re-recording the same signature must not grow it.
-	srcRep.RecordHint(dst.ts.URL+"/", sig)
-	srcRep.RecordHint(dst.ts.URL, sig)
-	var hv struct {
-		Signatures []string `json:"signatures"`
-	}
-	val, ok := src.st.GetMeta(handoffMetaPrefix + dst.ts.URL)
-	if !ok {
-		t.Fatal("hint not durably recorded under the canonical owner key")
-	}
-	if err := json.Unmarshal(val, &hv); err != nil || len(hv.Signatures) != 1 || hv.Signatures[0] != sig {
-		t.Fatalf("hint record = %s (%v), want exactly [%s]", val, err, sig)
-	}
-
-	// Delivery is detached: the recovered owner converges shortly after.
-	srcRep.DeliverHints(dst.ts.URL)
-	k := store.RunKeyFor(cfg, methods[0], testMaxCycles)
-	waitFor(t, 10*time.Second, "handoff delivery", func() bool { return dst.st.HasRun(k) })
-	if !bytes.Equal(encodedRun(t, dst.st, k), encodedRun(t, src.st, k)) {
-		t.Fatal("delivered backlog not byte-identical")
-	}
-	waitFor(t, 10*time.Second, "hint clearance", func() bool {
-		return srcRep.Stats().Gossip.HintsDelivered == 1
-	})
-	val, ok = src.st.GetMeta(handoffMetaPrefix + dst.ts.URL)
-	if !ok {
-		t.Fatal("hint record vanished instead of clearing")
-	}
-	hv.Signatures = nil
-	if err := json.Unmarshal(val, &hv); err != nil || len(hv.Signatures) != 0 {
-		t.Fatalf("delivered hint not cleared: %s (%v)", val, err)
-	}
-
-	// A pull-only replicator has no push substrate: hints are no-ops.
-	pullOnly := newReplicator(t, dst.st, src.ts.URL)
-	pullOnly.RecordHint(src.ts.URL, sig)
-	if _, ok := dst.st.GetMeta(handoffMetaPrefix + src.ts.URL); ok {
-		t.Fatal("pull-only replicator recorded a hint")
 	}
 }

@@ -65,8 +65,8 @@ const cursorMetaPrefix = "replcursor|"
 
 // normalizePeer canonicalizes a peer base URL exactly the way
 // dispatch.Remote.Name() does. Every identity derived from a peer URL —
-// cursor meta keys, rumor dedup IDs, notification origins, handoff hint
-// keys — MUST pass through here, so "http://h:1" and "http://h:1/" can
+// cursor meta keys, rumor dedup IDs, notification origins — MUST pass
+// through here, so "http://h:1" and "http://h:1/" can
 // never fork into two cursor namespaces or two independent rumors for
 // the same delta.
 func normalizePeer(p string) string { return strings.TrimRight(p, "/") }
@@ -120,8 +120,7 @@ type Options struct {
 }
 
 // peerState is one peer's replication position and accounting. The mutex
-// guards everything below it; the sync loop writes, Stats and SyncedPeers
-// read.
+// guards everything below it; the sync loop writes, Stats reads.
 type peerState struct {
 	name string
 
@@ -196,8 +195,7 @@ func New(opts Options) (*Replicator, error) {
 	}
 	seen := make(map[string]bool, len(opts.Peers))
 	for _, p := range opts.Peers {
-		// Normalize exactly the way dispatch.Remote.Name() does, so
-		// SyncedPeers matches backend names (warm-retry preference) and a
+		// Normalize exactly the way dispatch.Remote.Name() does, so a
 		// trailing slash in -peers cannot fork a second cursor namespace.
 		p = normalizePeer(p)
 		if seen[p] {
@@ -508,24 +506,6 @@ func (r *Replicator) syncPeer(ctx context.Context, p *peerState) error {
 func traceIDFrom(ctx context.Context) string {
 	tc, _ := obs.TraceFrom(ctx)
 	return tc.TraceID
-}
-
-// SyncedPeers lists the peers whose segment logs this node had fully
-// ingested as of their last successful round — peers actively exchanging
-// segments with us. Dispatch fronts prefer these on a warm-key retry: in
-// a fully meshed fleet a caught-up peer holds every warm result any node
-// has computed, so routing a retry there serves bytes from its store
-// instead of re-running the engine somewhere cold.
-func (r *Replicator) SyncedPeers() []string {
-	var out []string
-	for _, p := range r.peers {
-		p.mu.Lock()
-		if p.caughtUp && p.lastErr == "" {
-			out = append(out, p.name)
-		}
-		p.mu.Unlock()
-	}
-	return out
 }
 
 // PeerStats is one peer's slice of Stats — the /v1/store and /metrics

@@ -255,6 +255,19 @@ func (s *Scheduler) RunBatchCycles(ctx context.Context, jobs []Job, maxCycles in
 // flows through. The returned slice is the same submission-ordered result
 // set RunBatch produces.
 func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) []JobResult {
+	return RunPool(ctx, jobs, s.workers, func(ctx context.Context, j Job) (sim.MethodRun, error) {
+		return s.RunMethodCycles(ctx, j.Config, j.Method, maxCycles)
+	}, emit)
+}
+
+// RunPool is the worker pool every BatchRunner fans out on: up to workers
+// goroutines (at least one, at most one per job) call run for each job and
+// fill one result per job in submission order. emit, when non-nil, receives
+// each result exactly once, in submission order, as soon as it and every
+// earlier job have completed. Cancelling ctx stops the pool: jobs not yet
+// started report ctx.Err() without calling run, and jobs already running
+// see the cancellation through the ctx run receives.
+func RunPool(ctx context.Context, jobs []Job, workers int, run func(ctx context.Context, j Job) (sim.MethodRun, error), emit func(i int, r JobResult)) []JobResult {
 	results := make([]JobResult, len(jobs))
 	for i, j := range jobs {
 		results[i].Job = j
@@ -262,24 +275,23 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 	if len(jobs) == 0 {
 		return results
 	}
+	workers = max(1, min(workers, len(jobs)))
 
 	indexes := make(chan int)
 	// completed is buffered for the whole batch so neither workers nor the
 	// feeder ever block on the collector.
 	completed := make(chan int, len(jobs))
 	var wg sync.WaitGroup
-	workers := s.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range indexes {
-				run, err := s.RunMethodCycles(ctx, jobs[i].Config, jobs[i].Method, maxCycles)
-				results[i].Run = run
-				results[i].Err = err
+				if err := ctx.Err(); err != nil {
+					results[i].Err = err
+				} else {
+					results[i].Run, results[i].Err = run(ctx, jobs[i])
+				}
 				completed <- i
 			}
 		}()
@@ -290,9 +302,8 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 			select {
 			case indexes <- i:
 			case <-ctx.Done():
-				// Indexes from i on were never handed to a worker; jobs
-				// that were already delivered stamp ctx.Err() themselves
-				// via the per-job check in RunMethodCycles.
+				// Indexes from i on were never handed to a worker; the
+				// workers stamp ctx.Err() on any they already hold.
 				for k := i; k < len(jobs); k++ {
 					results[k].Err = ctx.Err()
 					completed <- k
@@ -308,14 +319,6 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 	// Collect completions and emit the contiguous prefix in order. Every
 	// index arrives exactly once: from the worker that ran it, or from the
 	// feeder for jobs cancelled before they were handed out.
-	collectOrdered(results, completed, emit)
-	return results
-}
-
-// collectOrdered drains completed indexes and, when emit is non-nil, calls
-// it for each result in submission order as soon as that result and every
-// earlier one are done. It returns once all len(results) indexes arrived.
-func collectOrdered(results []JobResult, completed <-chan int, emit func(i int, r JobResult)) {
 	done := make([]bool, len(results))
 	next := 0
 	for i := range completed {
@@ -327,6 +330,7 @@ func collectOrdered(results []JobResult, completed <-chan int, emit func(i int, 
 			next++
 		}
 	}
+	return results
 }
 
 // Sweep fans a full cross product (methods × configs) across the pool and

@@ -119,9 +119,9 @@ type Store struct {
 	// segment another process sharing the directory created afterwards.
 	ownedSeqs []int
 	segCount  int // ownedSeqs + the active segment (avoids ReadDir in Stats)
-	// writeErr latches the first background append failure so Flush and
-	// Close can report it instead of letting a caller exit believing its
-	// results reached disk.
+	// writeErr latches the first background append, fsync or segment
+	// close failure so Flush and Close can report it instead of letting a
+	// caller exit believing its results reached disk.
 	writeErr error
 
 	closed atomic.Bool
@@ -359,7 +359,7 @@ func (s *Store) writer() {
 		if req.done != nil {
 			s.fmu.Lock()
 			if s.active != nil {
-				_ = s.active.Sync()
+				s.latchWriteErr(s.active.Sync())
 			}
 			s.fmu.Unlock()
 			close(req.done)
@@ -368,18 +368,24 @@ func (s *Store) writer() {
 		if err := s.appendToDisk(req.rec); err != nil {
 			s.putErrors.Add(1)
 			s.fmu.Lock()
-			if s.writeErr == nil {
-				s.writeErr = err
-			}
+			s.latchWriteErr(err)
 			s.fmu.Unlock()
 		} else if req.rec.typ != recTypeMeta {
-			// Meta records (replication cursors, handoff hints) are
-			// node-local bookkeeping — advertising them would make every
-			// cursor write gossip about itself.
+			// Meta records (replication cursors) are node-local
+			// bookkeeping — advertising them would make every cursor
+			// write gossip about itself.
 			if fn := s.appendHook.Load(); fn != nil {
 				(*fn)()
 			}
 		}
+	}
+}
+
+// latchWriteErr records err as the store's first write failure (a nil err
+// or a later failure is ignored). The caller holds fmu.
+func (s *Store) latchWriteErr(err error) {
+	if s.writeErr == nil {
+		s.writeErr = err
 	}
 }
 
@@ -405,8 +411,9 @@ func (s *Store) appendToDisk(rec record) error {
 		return errors.New("store: closed")
 	}
 	if s.activeSize > 0 && s.activeSize+int64(len(buf)) > s.opts.MaxSegmentBytes {
-		_ = s.active.Sync()
-		_ = s.active.Close()
+		// The retired segment's tail may not be durable; latch that for
+		// Flush and Close, but still land this record in a fresh segment.
+		s.latchWriteErr(errors.Join(s.active.Sync(), s.active.Close()))
 		s.ownedSeqs = append(s.ownedSeqs, s.activeSeq)
 		s.activeSeq++
 		if err := s.openActive(); err != nil {
@@ -440,8 +447,9 @@ func (s *Store) appendToDisk(rec record) error {
 }
 
 // Flush blocks until every queued append is on disk and fsynced. It
-// returns the first background append failure, if any occurred — callers
-// that treat persistence as load-bearing must check it.
+// returns the first background append, fsync or segment-close failure, if
+// any occurred — callers that treat persistence as load-bearing must check
+// it.
 func (s *Store) Flush() error {
 	done := make(chan struct{})
 	s.qmu.RLock()

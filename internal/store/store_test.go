@@ -459,3 +459,59 @@ func TestStoreOpenOnEmptyAndMissingDir(t *testing.T) {
 		t.Fatalf("store dir not created: %v", err)
 	}
 }
+
+// closeActive closes the active segment file behind the store's back, so
+// every later fsync or close of it fails.
+func closeActive(t *testing.T, s *Store) {
+	t.Helper()
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	if err := s.active.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreFlushReportsSyncFailure: an fsync failure on the Flush path
+// must surface from Flush and Close instead of reporting durability.
+func TestStoreFlushReportsSyncFailure(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PutMeta("k", []byte("v"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	closeActive(t, s)
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush returned nil after the active segment's fsync failed")
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close returned nil after the active segment's fsync failed")
+	}
+}
+
+// TestStoreRotationReportsSyncFailure: rotation retires the full segment
+// with an fsync and a close; if either fails, the next Flush and Close
+// must report it even though the record itself landed in the new segment.
+func TestStoreRotationReportsSyncFailure(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{MaxSegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PutMeta("a", []byte("1"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	closeActive(t, s)
+	s.PutMeta("b", []byte("2")) // rotates past the closed segment
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush returned nil after rotation failed to fsync the retired segment")
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close returned nil after rotation failed to fsync the retired segment")
+	}
+	if got := s.Stats().Segments; got != 2 {
+		t.Fatalf("segments = %d, want 2 (the record still moved to a fresh segment)", got)
+	}
+}
