@@ -9,10 +9,20 @@
 // records by it (plus the body hash), and replication dedups by it — so
 // it must be a pure function of the method's identity, identical on
 // every node serving the same corpus.
+//
+// A Method is immutable once built: Class.Add and Verify are its last
+// writers (both drop the memo below), and every later reader — the
+// engine, the fabric, the store, concurrent request handlers — shares
+// it read-only. That is what lets Fingerprint hash the instruction
+// stream once per *Method instead of once per request.
 package classfile
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"strconv"
+	"sync/atomic"
 
 	"javaflow/internal/bytecode"
 )
@@ -79,7 +89,7 @@ type MethodRef struct {
 
 // Signature renders the canonical "Class.Name/argc" form used in reports.
 func (r MethodRef) Signature() string {
-	return fmt.Sprintf("%s.%s/%d", r.Class, r.Name, r.Argc)
+	return r.Class + "." + r.Name + "/" + strconv.Itoa(r.Argc)
 }
 
 // Constant is one constant-pool entry.
@@ -190,6 +200,9 @@ type Method struct {
 
 	Code []bytecode.Instruction
 	Pool *ConstantPool
+
+	// fingerprint memoises Fingerprint; 0 means not yet computed.
+	fingerprint atomic.Uint64
 }
 
 // ParamRegisters is the number of local registers consumed by parameters
@@ -214,6 +227,64 @@ func (m *Method) Ref() MethodRef {
 // Signature renders "Class.Name/argc".
 func (m *Method) Signature() string { return m.Ref().Signature() }
 
+// Fingerprint hashes everything about the method that deployment and
+// execution observe: identity, register/stack shape, and the full
+// instruction stream (opcode, operands, branch and switch targets, stack
+// effects). FNV-1a over a fixed little-endian field walk, computed on
+// first use and memoised (a racing first use computes the same value
+// twice, harmlessly).
+func (m *Method) Fingerprint() uint64 {
+	if v := m.fingerprint.Load(); v != 0 {
+		return v
+	}
+	v := m.hashBody()
+	m.fingerprint.Store(v)
+	return v
+}
+
+func (m *Method) hashBody() uint64 {
+	h := fnv.New64a()
+	var scratch [8]byte
+	writeInt := func(v int64) {
+		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
+		h.Write(scratch[:])
+	}
+	writeBool := func(b bool) {
+		if b {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	h.Write([]byte(m.Class))
+	h.Write([]byte{0})
+	h.Write([]byte(m.Name))
+	h.Write([]byte{0})
+	writeInt(int64(m.Argc))
+	writeBool(m.Instance)
+	writeBool(m.ReturnsValue)
+	writeInt(int64(m.MaxLocals))
+	writeInt(int64(m.MaxStack))
+	writeInt(int64(len(m.Code)))
+	for _, in := range m.Code {
+		writeInt(int64(in.Op))
+		writeInt(in.A)
+		writeInt(in.B)
+		writeInt(int64(in.Target))
+		writeInt(int64(len(in.SwitchKeys)))
+		for _, k := range in.SwitchKeys {
+			writeInt(k)
+		}
+		writeInt(int64(len(in.SwitchTargets)))
+		for _, t := range in.SwitchTargets {
+			writeInt(int64(t))
+		}
+		writeInt(int64(in.Pop))
+		writeInt(int64(in.Push))
+	}
+	return h.Sum64()
+}
+
 // Class groups methods and static field slots, standing in for the loaded
 // ClassFile plus its Method Area allocation.
 type Class struct {
@@ -235,6 +306,7 @@ func NewClass(name string) *Class {
 // Add registers a method with the class, setting its Class name.
 func (c *Class) Add(m *Method) *Class {
 	m.Class = c.Name
+	m.fingerprint.Store(0)
 	if _, exists := c.Methods[m.Name]; !exists {
 		c.order = append(c.order, m.Name)
 	}

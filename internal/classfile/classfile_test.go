@@ -2,6 +2,7 @@ package classfile
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"javaflow/internal/bytecode"
@@ -64,6 +65,58 @@ func TestVerifyComputesMaxStack(t *testing.T) {
 	}
 	if m.MaxStack != 3 {
 		t.Errorf("MaxStack = %d, want 3", m.MaxStack)
+	}
+}
+
+// TestFingerprintFollowsBuildSteps: the memoised fingerprint is a pure
+// function of the built method — taking it before Class.Add or Verify
+// rewrite the method does not pin a stale value.
+func TestFingerprintFollowsBuildSteps(t *testing.T) {
+	build := func() *Method {
+		return simpleMethod(t, 2, func(a *bytecode.Assembler) {
+			a.ILoad(0).ILoad(1).Op(bytecode.Iadd).IStore(0).Op(bytecode.Return)
+		})
+	}
+	early := build()
+	early.Fingerprint()
+	NewClass("Other").Add(early)
+	early.Fingerprint()
+	if err := Verify(early); err != nil {
+		t.Fatal(err)
+	}
+	fresh := build()
+	NewClass("Other").Add(fresh)
+	if err := Verify(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := early.Fingerprint(), fresh.Fingerprint(); got != want {
+		t.Fatalf("fingerprint taken early = %#x, want %#x (as if never taken)", got, want)
+	}
+	if fresh.Fingerprint() == build().Fingerprint() {
+		t.Fatal("class name and computed MaxStack do not reach the fingerprint")
+	}
+}
+
+// TestFingerprintConcurrentFirstUse: request handlers share one *Method,
+// so the first Fingerprint may race with others; all must agree.
+func TestFingerprintConcurrentFirstUse(t *testing.T) {
+	m := simpleMethod(t, 2, func(a *bytecode.Assembler) {
+		a.ILoad(0).ILoad(1).Op(bytecode.Iadd).IStore(0).Op(bytecode.Return)
+	})
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = m.Fingerprint()
+		}(i)
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v == 0 || v != got[0] {
+			t.Fatalf("goroutine %d fingerprint %#x, goroutine 0 %#x", i, v, got[0])
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -97,9 +96,17 @@ func validID(s string) bool {
 	return true
 }
 
-// NewID mints a random 16-hex-digit trace or span ID.
+// NewID mints a random 16-hex-digit trace or span ID (lowercase,
+// zero-padded).
 func NewID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	v := rand.Uint64()
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 type traceCtxKey struct{}

@@ -168,3 +168,14 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Errorf("span count = %d, want %d", tr.SpanCount(), 8*500*2)
 	}
 }
+
+// TestNewIDFormat: minted IDs are always 16 lowercase, zero-padded hex
+// digits that the trace-ID validator accepts.
+func TestNewIDFormat(t *testing.T) {
+	for i := 0; i < 10_000; i++ {
+		id := NewID()
+		if len(id) != 16 || strings.ToLower(id) != id || !ValidTraceID(id) {
+			t.Fatalf("NewID() = %q, want 16 lowercase hex digits", id)
+		}
+	}
+}

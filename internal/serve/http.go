@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -450,6 +452,14 @@ func guard(svc *Service, class admit.Class, next http.HandlerFunc) http.HandlerF
 			return
 		}
 		defer release()
+		if ac != nil {
+			// Let the rest of an already-runnable burst reach the gate
+			// before this request takes its CPU. A job runs on the
+			// handler's goroutine without parking, so on a node with no
+			// more CPUs than the cap short jobs would otherwise finish
+			// back to back and the lane would never see the burst.
+			runtime.Gosched()
+		}
 		next(w, r)
 	}
 }
@@ -590,11 +600,19 @@ func endpointLabel(method, path string) string {
 	return method + " other"
 }
 
-// decodeJSON parses the body into v, replying 400 on malformed input.
+// decodeJSON parses the body into v, replying 400 on malformed input. The
+// body must hold exactly one JSON value: anything but whitespace after it
+// is rejected rather than silently ignored.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorPayload{
 			Error: fmt.Sprintf("bad request body: %v", err),
 			Kind:  ErrKindInternal,

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -252,5 +254,43 @@ func TestHTTPMetrics(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health["status"] != "ok" {
 		t.Fatalf("healthz = %v", health)
+	}
+}
+
+// TestHTTPRejectsTrailingData: a request body must hold exactly one JSON
+// value. Trailing garbage or a second value is a 400; trailing whitespace
+// is not.
+func TestHTTPRejectsTrailingData(t *testing.T) {
+	ts, svc := testServer(t, 2)
+	run := fmt.Sprintf(`{"config":"Compact2","method":%q}`, svc.Methods()[0].Signature())
+	batch := `{"configs":["Compact2"],"summaryOnly":true}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"run/garbage", "/v1/run", run + " trailing garbage", http.StatusBadRequest},
+		{"run/second-value", "/v1/run", run + `{"config":"nope"}`, http.StatusBadRequest},
+		{"run/newline", "/v1/run", run + "\n", http.StatusOK},
+		{"batch/garbage", "/v1/batch", batch + " trailing garbage", http.StatusBadRequest},
+		{"batch/second-value", "/v1/batch", batch + `{"configs":["nope"]}`, http.StatusBadRequest},
+		{"batch/newline", "/v1/batch", batch + "\n", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+			if tc.want != http.StatusBadRequest {
+				return
+			}
+			var ep ErrorPayload
+			if err := json.NewDecoder(resp.Body).Decode(&ep); err != nil || ep.Kind != ErrKindInternal {
+				t.Fatalf("error payload %+v (%v), want kind %q", ep, err, ErrKindInternal)
+			}
+		})
 	}
 }

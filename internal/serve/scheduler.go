@@ -267,6 +267,11 @@ func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles in
 // earlier job have completed. Cancelling ctx stops the pool: jobs not yet
 // started report ctx.Err() without calling run, and jobs already running
 // see the cancellation through the ctx run receives.
+//
+// When the clamped worker count is one (a one-job batch such as every
+// single /v1/run, or workers == 1) the jobs run in a plain loop on the
+// caller's goroutine, under the same contract: no goroutine, channel or
+// collector is spent on a batch that cannot run in parallel.
 func RunPool(ctx context.Context, jobs []Job, workers int, run func(ctx context.Context, j Job) (sim.MethodRun, error), emit func(i int, r JobResult)) []JobResult {
 	results := make([]JobResult, len(jobs))
 	for i, j := range jobs {
@@ -276,6 +281,19 @@ func RunPool(ctx context.Context, jobs []Job, workers int, run func(ctx context.
 		return results
 	}
 	workers = max(1, min(workers, len(jobs)))
+	if workers == 1 {
+		for i := range jobs {
+			if err := ctx.Err(); err != nil {
+				results[i].Err = err
+			} else {
+				results[i].Run, results[i].Err = run(ctx, jobs[i])
+			}
+			if emit != nil {
+				emit(i, results[i])
+			}
+		}
+		return results
+	}
 
 	indexes := make(chan int)
 	// completed is buffered for the whole batch so neither workers nor the

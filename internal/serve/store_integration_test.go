@@ -118,3 +118,40 @@ func TestStoreWarmRestartByteIdentical(t *testing.T) {
 		t.Fatalf("deployment not read through the store: cache stats %+v", snap.Cache)
 	}
 }
+
+// BenchmarkServeWarmRun is one warm POST /v1/run through the full
+// handler (trace middleware, admission guard, decode, store read, encode)
+// against a store-backed scheduler, with no network in the way. Every
+// iteration must be a store hit.
+func BenchmarkServeWarmRun(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	methods := hostableMethods(b, 1)
+	sched := NewScheduler(SchedulerOptions{Workers: 2, Store: st})
+	h := NewHandler(NewService(sched, sim.Configurations(), methods))
+	body := []byte(fmt.Sprintf(`{"config":"Compact2","method":%q}`, methods[0].Signature()))
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	cold := serve().Body.Bytes()
+	hits := st.Stats().RunHits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(); i == 0 && !bytes.Equal(rec.Body.Bytes(), cold) {
+			b.Fatalf("warm answer differs from the cold one")
+		}
+	}
+	b.StopTimer()
+	if got := st.Stats().RunHits - hits; got != int64(b.N) {
+		b.Fatalf("%d store hits over %d warm requests", got, b.N)
+	}
+}

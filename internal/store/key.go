@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"javaflow/internal/classfile"
 	"javaflow/internal/sim"
@@ -25,9 +23,24 @@ type DeployKey struct {
 }
 
 func (k DeployKey) encode() []byte {
-	return []byte(fmt.Sprintf("dep|e%d|%s|%016x|%s",
-		sim.EngineVersion, k.Signature, k.MethodHash, k.Geometry))
+	return k.appendTo(make([]byte, 0, 32+len(k.Signature)+len(k.Geometry)), "dep|e")
 }
+
+// appendTo appends "<prefix><EngineVersion>|<sig>|<hash %016x>|<geometry>".
+func (k DeployKey) appendTo(b []byte, prefix string) []byte {
+	b = append(b, prefix...)
+	b = strconv.AppendInt(b, sim.EngineVersion, 10)
+	b = append(b, '|')
+	b = append(b, k.Signature...)
+	b = append(b, '|')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hexDigits[k.MethodHash>>shift&0xf])
+	}
+	b = append(b, '|')
+	return append(b, k.Geometry...)
+}
+
+const hexDigits = "0123456789abcdef"
 
 // RunKey identifies one MethodRun: a deployment plus everything else that
 // can change the engine's observable output — the serial clocking rule,
@@ -39,9 +52,11 @@ type RunKey struct {
 }
 
 func (k RunKey) encode() []byte {
-	return []byte(fmt.Sprintf("run|e%d|%s|%016x|%s|spm%d|max%d",
-		sim.EngineVersion, k.Signature, k.MethodHash, k.Geometry,
-		k.SerialPerMesh, k.MaxMeshCycles))
+	b := k.appendTo(make([]byte, 0, 56+len(k.Signature)+len(k.Geometry)), "run|e")
+	b = append(b, "|spm"...)
+	b = strconv.AppendInt(b, int64(k.SerialPerMesh), 10)
+	b = append(b, "|max"...)
+	return strconv.AppendInt(b, int64(k.MaxMeshCycles), 10)
 }
 
 // DeployKeyFor builds the deployment key of m on cfg's fabric.
@@ -64,49 +79,6 @@ func RunKeyFor(cfg sim.Config, m *classfile.Method, maxMeshCycles int) RunKey {
 	}
 }
 
-// MethodHash fingerprints everything about a method that deployment and
-// execution observe: identity, register/stack shape, and the full
-// instruction stream (opcode, operands, branch and switch targets, stack
-// effects). FNV-1a over a fixed little-endian field walk.
-func MethodHash(m *classfile.Method) uint64 {
-	h := fnv.New64a()
-	var scratch [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
-		h.Write(scratch[:])
-	}
-	writeBool := func(b bool) {
-		if b {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	h.Write([]byte(m.Class))
-	h.Write([]byte{0})
-	h.Write([]byte(m.Name))
-	h.Write([]byte{0})
-	writeInt(int64(m.Argc))
-	writeBool(m.Instance)
-	writeBool(m.ReturnsValue)
-	writeInt(int64(m.MaxLocals))
-	writeInt(int64(m.MaxStack))
-	writeInt(int64(len(m.Code)))
-	for _, in := range m.Code {
-		writeInt(int64(in.Op))
-		writeInt(in.A)
-		writeInt(in.B)
-		writeInt(int64(in.Target))
-		writeInt(int64(len(in.SwitchKeys)))
-		for _, k := range in.SwitchKeys {
-			writeInt(k)
-		}
-		writeInt(int64(len(in.SwitchTargets)))
-		for _, t := range in.SwitchTargets {
-			writeInt(int64(t))
-		}
-		writeInt(int64(in.Pop))
-		writeInt(int64(in.Push))
-	}
-	return h.Sum64()
-}
+// MethodHash is the method's content fingerprint as the store keys it:
+// m.Fingerprint(), computed once per *classfile.Method.
+func MethodHash(m *classfile.Method) uint64 { return m.Fingerprint() }
