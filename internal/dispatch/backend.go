@@ -32,8 +32,12 @@ type Backend interface {
 }
 
 // maxErrorBody bounds how much of a failed response is read for the error
-// message.
-const maxErrorBody = 1 << 20
+// message; maxRunAnswer bounds a 200 answer's MethodRun codec bytes (two
+// Results with their config names and signatures — a few hundred bytes).
+const (
+	maxErrorBody = 1 << 20
+	maxRunAnswer = 1 << 20
+)
 
 // Remote is a Backend that forwards jobs to another jfserved instance via
 // POST /v1/run. Config and method are sent by name, so the peer must serve
@@ -72,10 +76,11 @@ func NewRemote(baseURL string, client *http.Client) *Remote {
 // Name returns the peer's base URL.
 func (r *Remote) Name() string { return r.base }
 
-// Run posts the job to the peer and decodes the result. Non-2xx responses
-// become errors; a 422 rejection is rehydrated into the same typed
-// *fabric.LoadError a local run would return, so skip accounting is
-// identical on both paths.
+// Run posts the job to the peer and decodes the result, which the peer
+// sends in the MethodRun codec (the request's Accept header asks for it).
+// Non-2xx responses stay JSON and become errors; a 422 rejection is
+// rehydrated into the same typed *fabric.LoadError a local run would
+// return, so skip accounting is identical on both paths.
 func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.MethodRun, error) {
 	body, err := json.Marshal(serve.RunRequest{
 		Config:        job.Config.Name,
@@ -90,6 +95,7 @@ func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.Met
 		return sim.MethodRun{}, fmt.Errorf("dispatch: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", serve.MethodRunContentType)
 	// One hop only: the receiving node executes locally even if it is
 	// itself a dispatch front (or this very process — a self-peer must
 	// not recurse).
@@ -119,14 +125,26 @@ func (r *Remote) Run(ctx context.Context, job serve.Job, maxCycles int) (sim.Met
 		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: status %d: %s", r.base, resp.StatusCode, msg)
 	}
 
-	var payload serve.RunPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: decoding response: %w", r.base, err)
+	// The answer is the MethodRun codec's bytes: decoding them is exact,
+	// so a dispatched run is byte-identical to a local one. A peer that
+	// ignored the Accept header (JSON from an older version) or sent a
+	// body that does not decode fails the attempt like any other
+	// transient error, and the job takes the retry/local-fallback route.
+	if ct := resp.Header.Get("Content-Type"); ct != serve.MethodRunContentType {
+		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: answer has Content-Type %q, want %q", r.base, ct, serve.MethodRunContentType)
 	}
-	// RunPayload carries both full Result structs; reassembling them is
-	// lossless (all fields are ints, bools and strings), so a dispatched
-	// run is byte-identical to a local one.
-	return sim.MethodRun{Signature: payload.Signature, BP1: payload.BP1, BP2: payload.BP2}, nil
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRunAnswer+1))
+	if err != nil {
+		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: reading answer: %w", r.base, err)
+	}
+	if len(data) > maxRunAnswer {
+		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: answer exceeds %d bytes", r.base, maxRunAnswer)
+	}
+	var run sim.MethodRun
+	if err := run.UnmarshalBinary(data); err != nil {
+		return sim.MethodRun{}, fmt.Errorf("dispatch: %s: %w", r.base, err)
+	}
+	return run, nil
 }
 
 // Healthy reports whether the peer answers /healthz. Used for operator

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -172,9 +173,10 @@ func TestDispatchAffinity(t *testing.T) {
 
 // TestDispatchBackendDownAtStart: one peer is unreachable from the first
 // job. Every job still completes with correct results via the retry path.
+// The methods are drawn after the ring is built, so the dead backend owns
+// some of them whatever its ephemeral port hashes to.
 func TestDispatchBackendDownAtStart(t *testing.T) {
-	methods := testMethods(t, 10)
-	ts, _ := newPeer(t, methods)
+	ts, _ := newPeer(t, partitionCorpus())
 	dead := httptest.NewServer(nil)
 	deadURL := dead.URL
 	dead.Close() // connection refused from the start
@@ -183,6 +185,7 @@ func TestDispatchBackendDownAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	methods := partitionByOwner(t, d, 3)
 	jobs := sweepJobs(t, []string{"Compact2"}, methods)
 	got := d.RunBatchCycles(context.Background(), jobs, testMaxCycles)
 	want := newLocalScheduler().RunBatchCycles(context.Background(), jobs, testMaxCycles)
@@ -211,9 +214,13 @@ func TestDispatchBackendDownAtStart(t *testing.T) {
 // partitionCorpus is the method pool partitionByOwner draws from: the
 // named corpus plus a generated tranche, so each backend owns enough
 // signatures no matter how the ring hashes its (ephemeral-port) names.
+// The ring's shares between two such names can be far from even, so the
+// tranche is large: over 10,000 port pairs the smaller owner never held
+// fewer than 9 of its ~820 signatures (with 40 classes, 8 pairs in 2,000
+// left one owner fewer than 4).
 func partitionCorpus() []*classfile.Method {
 	methods := workload.NamedMethods()
-	for _, c := range workload.Generate(workload.GenConfig{Seed: 11, Count: 40}) {
+	for _, c := range workload.Generate(workload.GenConfig{Seed: 11, Count: 800}) {
 		for _, n := range c.MethodNames() {
 			methods = append(methods, c.Methods[n])
 		}
@@ -285,6 +292,55 @@ func TestDispatchBackendDiesMidBatch(t *testing.T) {
 				t.Fatalf("no jobs retried away from the dead backend: %+v", st)
 			}
 		}
+	}
+}
+
+// TestDispatchNonCodecAnswerFallsBackLocal: a 200 the MethodRun codec
+// cannot read — JSON from a peer that ignores the Accept header (an older
+// jfserved), or a body that does not decode — fails the attempt like any
+// transient error: one error on that backend, the job ends in local
+// fallback, and the result is byte-identical to a local run.
+func TestDispatchNonCodecAnswerFallsBackLocal(t *testing.T) {
+	cfg := testConfig(t, "Compact2")
+	var m *classfile.Method
+	for _, c := range workload.NamedMethods() {
+		if _, err := sim.DeployMethod(cfg, c); err == nil {
+			m = c
+			break
+		}
+	}
+	_, svc := newPeer(t, []*classfile.Method{m})
+	h := serve.NewHandler(svc)
+	peers := map[string]http.HandlerFunc{
+		"json": func(w http.ResponseWriter, r *http.Request) {
+			r.Header.Del("Accept")
+			h.ServeHTTP(w, r)
+		},
+		"undecodable": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", serve.MethodRunContentType)
+			_, _ = w.Write([]byte{1, 0xff})
+		},
+	}
+	for name, peer := range peers {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(peer)
+			t.Cleanup(ts.Close)
+			d, err := New(Options{Peers: []string{ts.URL}, Local: newLocalScheduler()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := []serve.Job{{Config: cfg, Method: m}}
+			got := d.RunBatchCycles(context.Background(), jobs, testMaxCycles)
+			want := newLocalScheduler().RunBatchCycles(context.Background(), jobs, testMaxCycles)
+			assertSameResults(t, got, want)
+			st := d.Stats()
+			if b := st.Backends[0]; b.Errors != 1 || b.Jobs != 0 {
+				t.Fatalf("backend stats %+v, want exactly one error and no served job", b)
+			}
+			if st.LocalFallbacks != 1 {
+				t.Fatalf("local fallbacks = %d, want 1 (stats %+v)", st.LocalFallbacks, st)
+			}
+		})
 	}
 }
 

@@ -80,7 +80,8 @@ func (p ErrorPayload) Err() error {
 
 // NewHandler builds the jfserved HTTP API over svc.
 //
-//	POST /v1/run                     — one method on one configuration
+//	POST /v1/run                     — one method on one configuration; JSON, or
+//	                                   the MethodRun codec under Accept: MethodRunContentType
 //	POST /v1/batch                   — population sweep (methods × configs);
 //	                                   ?stream=ndjson streams per-job results
 //	GET  /v1/configs                 — configuration registry
@@ -126,7 +127,11 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, payload)
+		if r.Header.Get("Accept") == MethodRunContentType {
+			writeRunBinary(w, payload)
+			return
+		}
+		writeRunJSON(w, payload)
 	}))
 
 	mux.HandleFunc("POST /v1/batch", guard(svc, admit.ClassBatch, func(w http.ResponseWriter, r *http.Request) {

@@ -38,7 +38,9 @@ func (mr MethodRun) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes data produced by MarshalBinary.
+// UnmarshalBinary decodes data produced by MarshalBinary. It accepts
+// only the bytes MarshalBinary writes — canonical uvarints, bools as 0 or
+// 1, no trailing bytes — so any accepted input re-marshals to itself.
 func (mr *MethodRun) UnmarshalBinary(data []byte) error {
 	d := &decoder{buf: data}
 	if v := d.byte(); v != codecVersion {
@@ -106,12 +108,23 @@ func (d *decoder) byte() byte {
 	return b
 }
 
+func (d *decoder) bool() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail("bad bool")
+	}
+	return b == 1
+}
+
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	// A zero final group past the first byte is an overlong encoding
+	// AppendUvarint never writes; accepting it would let two byte strings
+	// decode to one MethodRun.
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		d.fail("bad uvarint")
 		return 0
 	}
@@ -144,6 +157,6 @@ func (d *decoder) result() Result {
 	} {
 		*dst = int(d.uvarint())
 	}
-	r.TimedOut = d.byte() == 1
+	r.TimedOut = d.bool()
 	return r
 }

@@ -64,4 +64,39 @@ func TestMethodRunCodecRejectsGarbage(t *testing.T) {
 	if err := mr.UnmarshalBinary(bad); err == nil {
 		t.Fatalf("wrong version decoded without error")
 	}
+	// Bytes MarshalBinary never writes: an overlong uvarint (a zero
+	// run's empty-signature length as 0x80 0x00) and a TimedOut byte of 2.
+	zero, _ := (MethodRun{}).MarshalBinary()
+	overlong := append([]byte{zero[0], 0x80, 0x00}, zero[2:]...)
+	if err := mr.UnmarshalBinary(overlong); err == nil {
+		t.Fatalf("overlong uvarint decoded without error")
+	}
+	badBool := append([]byte{}, data...)
+	badBool[len(badBool)-1] = 2
+	if err := mr.UnmarshalBinary(badBool); err == nil {
+		t.Fatalf("TimedOut byte 2 decoded without error")
+	}
+}
+
+// FuzzMethodRunUnmarshal: no input panics the decoder, and any input it
+// accepts re-marshals to exactly the same bytes. Dispatch peers answer in
+// this codec, so it parses bytes from the network.
+func FuzzMethodRunUnmarshal(f *testing.F) {
+	for _, mr := range []MethodRun{sampleRun(), {}} {
+		data, _ := mr.MarshalBinary()
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var mr MethodRun
+		if mr.UnmarshalBinary(data) != nil {
+			return
+		}
+		again, err := mr.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x but it re-marshals to %x", data, again)
+		}
+	})
 }

@@ -1068,12 +1068,15 @@ func (e *Engine) forwardTokenStagger(t token, i int, stagger *int) {
 }
 
 // releaseHeld forwards all buffered tokens in kind order; a parked TAIL
-// stays behind for the rearmost sweep.
+// stays behind for the rearmost sweep. The survivors are filtered into
+// the buffer's own backing array (forwarding only pushes to the queues,
+// never touches node i's buffer), so the next holdToken reuses its
+// capacity instead of growing a fresh slice.
 func (e *Engine) releaseHeld(i int) {
 	n := &e.nodes[i]
 	sortTokensByKind(n.held)
 	stagger := 0
-	var tail []token
+	tail := n.held[:0]
 	for _, t := range n.held {
 		if t.kind == tokTail {
 			tail = append(tail, t)
@@ -1097,10 +1100,11 @@ func (e *Engine) completeControl(i int) {
 		e.releaseHeld(i)
 	case target > i:
 		// Forward taken: explicit addressing to the target; a parked
-		// TAIL follows via the sweep.
+		// TAIL follows via the sweep. Filtered in place as in
+		// releaseHeld.
 		sortTokensByKind(n.held)
 		stagger := 0
-		var tail []token
+		tail := n.held[:0]
 		for _, t := range n.held {
 			if t.kind == tokTail {
 				tail = append(tail, t)
