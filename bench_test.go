@@ -231,7 +231,7 @@ func BenchmarkDeploymentCacheSweep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// A fresh cache every iteration keeps each sweep cold.
 			sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 1, MaxMeshCycles: maxCycles})
-			if _, err := sched.RunAll(context.Background(), cfg, methods); err != nil {
+			if _, err := sched.RunAllCycles(context.Background(), cfg, methods, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -239,12 +239,12 @@ func BenchmarkDeploymentCacheSweep(b *testing.B) {
 
 	b.Run("cached", func(b *testing.B) {
 		sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 1, MaxMeshCycles: maxCycles})
-		if _, err := sched.RunAll(context.Background(), cfg, methods); err != nil {
+		if _, err := sched.RunAllCycles(context.Background(), cfg, methods, 0); err != nil {
 			b.Fatal(err) // warm the cache outside the timed loop
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.RunAll(context.Background(), cfg, methods); err != nil {
+			if _, err := sched.RunAllCycles(context.Background(), cfg, methods, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func BenchmarkStoreSweep(b *testing.B) {
 			}
 			b.StartTimer()
 			sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 1, MaxMeshCycles: maxCycles, Store: st})
-			if _, err := sched.RunAll(context.Background(), cfg, methods); err != nil {
+			if _, err := sched.RunAllCycles(context.Background(), cfg, methods, 0); err != nil {
 				b.Fatal(err)
 			}
 			if err := st.Close(); err != nil {
@@ -284,7 +284,7 @@ func BenchmarkStoreSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 1, MaxMeshCycles: maxCycles, Store: seed})
-	if _, err := sched.RunAll(context.Background(), cfg, methods); err != nil {
+	if _, err := sched.RunAllCycles(context.Background(), cfg, methods, 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := seed.Close(); err != nil {
@@ -302,7 +302,7 @@ func BenchmarkStoreSweep(b *testing.B) {
 			// A fresh scheduler + cache per iteration models a restarted
 			// process whose only warmth is the store.
 			sched := serve.NewScheduler(serve.SchedulerOptions{Workers: 1, MaxMeshCycles: maxCycles, Store: st})
-			if _, err := sched.RunAll(context.Background(), cfg, methods); err != nil {
+			if _, err := sched.RunAllCycles(context.Background(), cfg, methods, 0); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

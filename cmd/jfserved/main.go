@@ -8,19 +8,19 @@
 // Usage:
 //
 //	jfserved                       # serve :8077 with the default corpus
-//	jfserved -addr :9000 -workers 8 -cache 4096
+//	jfserved -addr :9000 -workers 8
 //	jfserved -gen 400              # smaller generated population (faster boot)
 //	jfserved -store-dir ./results  # persist results across restarts
 //	jfserved -store-dir ./results -compact-threshold 0.5   # auto-compact (sole writer)
 //	jfserved -peers http://10.0.0.7:8077,http://10.0.0.8:8077
 //	jfserved -store-dir ./r1 -peers ... -replicate-interval 15s  # anti-entropy replication
-//	jfserved -store-dir ./r1 -peers ... -replicate-interval 1h -gossip-fanout 3
+//	jfserved -store-dir ./r1 -peers ... -replicate-interval 1h   # push-mostly: gossip, rare repair pulls
 //
 // With -replicate-interval every peer's segment log is pulled into the
 // local store periodically, so each node ends up serving every warm
-// result the fleet has computed — no shared filesystem needed. Unless
-// -gossip-disable is set, replication also pushes: a node that commits
-// new results notifies a few random peers immediately (POST
+// result the fleet has computed — no shared filesystem needed.
+// Replication also pushes: a node that commits new results notifies
+// ceil(log2(peers+1)) random peers immediately (POST
 // /v1/replicate/notify), so warm convergence is sub-second and the
 // periodic pull is just the repair path — it can be set very long.
 //
@@ -76,42 +76,28 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8077", "listen address")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
-		cacheN    = flag.Int("cache", serve.DefaultCacheCapacity, "deployment cache capacity (entries)")
-		gen       = flag.Int("gen", 1580, "generated-method population size")
-		seed      = flag.Int64("seed", 2014, "generated-method population seed")
-		cycles    = flag.Int("maxcycles", 400_000, "default per-execution mesh-cycle timeout")
-		drain     = flag.Duration("drain", 5*time.Minute, "graceful-shutdown drain window for in-flight requests")
-		stDir     = flag.String("store-dir", "", "directory for the persistent result store (empty = memory-only)")
-		peers     = flag.String("peers", "", "comma-separated base URLs of backend jfserved instances to dispatch batches across")
-		inflight  = flag.Int("peer-inflight", 0, "max concurrent jobs per dispatch backend (0 = default)")
-		compact   = flag.Float64("compact-threshold", 0, "auto-compact the store when its garbage ratio reaches this fraction (0 = disabled; sole-writer stores only)")
-		compactI  = flag.Duration("compact-interval", serve.DefaultCompactEvery, "how often the auto-compactor checks the garbage ratio")
-		replInt   = flag.Duration("replicate-interval", 0, "pull new store segments from -peers this often (anti-entropy replication; 0 = disabled; requires -peers and -store-dir)")
-		gossipF   = flag.Int("gossip-fanout", 0, "peers each gossip notification targets (0 = ceil(log2(peers+1)); requires replication)")
-		gossipD   = flag.Bool("gossip-disable", false, "disable push/gossip notifications, leaving pull-only anti-entropy")
-		advert    = flag.String("advertise", "", "base URL peers reach this node at, stamped on gossip notifications (default derived from -addr)")
-		debugA    = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (e.g. 127.0.0.1:6060; empty = disabled)")
-		runCap    = flag.Int("run-cap", 0, "max in-flight /v1/run requests before typed 429 shedding (0 = 256)")
-		batchCap  = flag.Int("batch-cap", 0, "max in-flight /v1/batch requests before typed 429 shedding (0 = 4)")
-		replCap   = flag.Int("replicate-cap", 0, "max in-flight /v1/replicate requests before typed 429 shedding (0 = 32)")
-		traceRing = flag.Int("trace-ring", 0, "span ring capacity for /debug/traces and /v1/trace (0 = 512)")
-		eventRing = flag.Int("event-ring", 0, "structured event journal capacity for /debug/events (0 = 512)")
+		addr     = flag.String("addr", ":8077", "listen address")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
+		gen      = flag.Int("gen", 1580, "generated-method population size")
+		seed     = flag.Int64("seed", 2014, "generated-method population seed")
+		cycles   = flag.Int("maxcycles", 400_000, "default per-execution mesh-cycle timeout")
+		drain    = flag.Duration("drain", 5*time.Minute, "graceful-shutdown drain window for in-flight requests")
+		stDir    = flag.String("store-dir", "", "directory for the persistent result store (empty = memory-only)")
+		peers    = flag.String("peers", "", "comma-separated base URLs of backend jfserved instances to dispatch batches across")
+		compact  = flag.Float64("compact-threshold", 0, "auto-compact the store when its garbage ratio reaches this fraction (0 = disabled; sole-writer stores only)")
+		compactI = flag.Duration("compact-interval", serve.DefaultCompactEvery, "how often the auto-compactor checks the garbage ratio")
+		replInt  = flag.Duration("replicate-interval", 0, "pull new store segments from -peers this often (anti-entropy replication; 0 = disabled; requires -peers and -store-dir)")
+		advert   = flag.String("advertise", "", "base URL peers reach this node at, stamped on gossip notifications (default derived from -addr)")
+		debugA   = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (e.g. 127.0.0.1:6060; empty = disabled)")
+		runCap   = flag.Int("run-cap", 0, "max in-flight /v1/run requests before typed 429 shedding (0 = 256)")
 	)
 	flag.Parse()
 
 	if err := validateFlags(map[string]flagBound{
-		"-workers":       {*workers, 1},
-		"-cache":         {*cacheN, 1},
-		"-gen":           {*gen, 0},
-		"-maxcycles":     {*cycles, 1},
-		"-peer-inflight": {*inflight, 0},
-		"-run-cap":       {*runCap, 0},
-		"-batch-cap":     {*batchCap, 0},
-		"-replicate-cap": {*replCap, 0},
-		"-trace-ring":    {*traceRing, 0},
-		"-event-ring":    {*eventRing, 0},
+		"-workers":   {*workers, 1},
+		"-gen":       {*gen, 0},
+		"-maxcycles": {*cycles, 1},
+		"-run-cap":   {*runCap, 0},
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "jfserved: %v\n", err)
 		os.Exit(2)
@@ -140,17 +126,13 @@ func main() {
 	// The node name on spans, events and fleet rows is the URL peers
 	// reach this node at, so cross-node trace assembly and /v1/fleet
 	// agree with the -peers lists everywhere else.
-	metrics := serve.NewMetricsOpts(serve.MetricsOptions{
-		Node:      advertiseURL(*advert, *addr),
-		TraceRing: *traceRing,
-		EventRing: *eventRing,
-	})
+	metrics := serve.NewMetricsOpts(serve.MetricsOptions{Node: advertiseURL(*advert, *addr)})
 	if st != nil {
 		st.SetJournal(metrics.Journal())
 	}
 	sched := serve.NewScheduler(serve.SchedulerOptions{
 		Workers:       *workers,
-		Cache:         serve.NewDeploymentCache(*cacheN),
+		Cache:         serve.NewDeploymentCache(serve.DefaultCacheCapacity),
 		MaxMeshCycles: *cycles,
 		Store:         st,
 		Metrics:       metrics,
@@ -160,12 +142,10 @@ func main() {
 	// typed 429 and a Retry-After derived from observed service rates,
 	// instead of queueing until the fleet collapses.
 	svc.SetAdmission(admit.New(admit.Options{
-		RunCap:       *runCap,
-		BatchCap:     *batchCap,
-		ReplicateCap: *replCap,
-		Parallelism:  *workers,
-		Registry:     sched.Metrics().Registry(),
-		Journal:      sched.Metrics().Journal(),
+		RunCap:      *runCap,
+		Parallelism: *workers,
+		Registry:    sched.Metrics().Registry(),
+		Journal:     sched.Metrics().Journal(),
 	}))
 	if peerList := splitPeers(*peers); len(peerList) > 0 {
 		// Fleet plane: /v1/trace/{id} and /v1/fleet fan out to the same
@@ -193,42 +173,36 @@ func main() {
 		if len(peerList) == 0 {
 			fatal("jfserved: -replicate-interval requires -peers\n")
 		}
-		ropts := replicate.Options{
-			Store:    st,
-			Peers:    peerList,
-			Interval: *replInt,
-			Logf:     logf,
-			Tracer:   sched.Metrics().Tracer(),
-			Registry: sched.Metrics().Registry(),
-			Journal:  sched.Metrics().Journal(),
-		}
-		gossipNote := ", gossip off"
-		if !*gossipD {
-			ropts.Advertise = advertiseURL(*advert, *addr)
-			ropts.GossipFanout = *gossipF
-			if ropts.Advertise == "" {
-				fatal("jfserved: cannot derive a gossip advertise URL from -addr %q; pass -advertise or -gossip-disable\n", *addr)
-			}
-			gossipNote = fmt.Sprintf(", gossiping as %s", ropts.Advertise)
+		advertise := advertiseURL(*advert, *addr)
+		if advertise == "" {
+			fatal("jfserved: cannot derive a gossip advertise URL from -addr %q; pass -advertise\n", *addr)
 		}
 		var err error
-		rep, err = replicate.New(ropts)
+		rep, err = replicate.New(replicate.Options{
+			Store:     st,
+			Peers:     peerList,
+			Interval:  *replInt,
+			Logf:      logf,
+			Advertise: advertise,
+			Tracer:    sched.Metrics().Tracer(),
+			Registry:  sched.Metrics().Registry(),
+			Journal:   sched.Metrics().Journal(),
+		})
 		if err != nil {
 			fatal("jfserved: %v\n", err)
 		}
 		svc.SetReplicator(rep)
-		replicateNote = fmt.Sprintf("replicating from %d peers every %v%s", len(peerList), *replInt, gossipNote)
+		replicateNote = fmt.Sprintf("replicating from %d peers every %v, gossiping as %s", len(peerList), *replInt, advertise)
 	}
 
 	dispatchNote := "single-node"
 	if *peers != "" {
 		d, err := dispatch.New(dispatch.Options{
-			Peers:       splitPeers(*peers),
-			Local:       sched,
-			MaxInflight: *inflight,
-			Tracer:      sched.Metrics().Tracer(),
-			Registry:    sched.Metrics().Registry(),
-			Journal:     sched.Metrics().Journal(),
+			Peers:    splitPeers(*peers),
+			Local:    sched,
+			Tracer:   sched.Metrics().Tracer(),
+			Registry: sched.Metrics().Registry(),
+			Journal:  sched.Metrics().Journal(),
 		})
 		if err != nil {
 			fatal("jfserved: %v\n", err)
@@ -286,7 +260,7 @@ func main() {
 	}
 	err := daemon.Run(ctx, func(bound net.Addr) {
 		fmt.Printf("jfserved: %d methods, %d configurations, %d workers, cache %d, %s, %s, %s — listening on %s\n",
-			len(methods), len(svc.Configs()), *workers, *cacheN, storeNote, dispatchNote, replicateNote, bound)
+			len(methods), len(svc.Configs()), *workers, serve.DefaultCacheCapacity, storeNote, dispatchNote, replicateNote, bound)
 	})
 	if err != nil {
 		// The daemon has already flushed and closed the store.

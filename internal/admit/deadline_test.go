@@ -107,3 +107,25 @@ func TestWithDeadlineOnlyTightens(t *testing.T) {
 		t.Fatalf("deadline = %v, want tightened to %v", dl, tight)
 	}
 }
+
+// FuzzParseDeadline: X-Javaflow-Deadline arrives from any client or peer.
+// No value panics the parser against any clock, and an accepted deadline
+// is positive and no further ahead than MaxDeadlineAhead.
+func FuzzParseDeadline(f *testing.F) {
+	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC).UnixMilli()
+	f.Add(strconv.FormatInt(now+90_000, 10), now)
+	f.Add(strconv.FormatInt(now-5_000, 10), now)
+	f.Fuzz(func(t *testing.T, value string, nowMs int64) {
+		now := time.UnixMilli(nowMs)
+		dl, ok := ParseDeadline(value, now)
+		if !ok {
+			return
+		}
+		if dl.UnixMilli() <= 0 {
+			t.Fatalf("ParseDeadline(%q) accepted non-positive %v", value, dl)
+		}
+		if dl.After(now.Add(MaxDeadlineAhead)) {
+			t.Fatalf("ParseDeadline(%q, %v) accepted %v, beyond MaxDeadlineAhead", value, now, dl)
+		}
+	})
+}

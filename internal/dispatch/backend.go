@@ -49,6 +49,16 @@ type Remote struct {
 	client *http.Client
 }
 
+// dialTimeout / responseHeaderTimeout bound the default peer client. The
+// dial bound is tight (a dead host must fail fast, not pin an inflight
+// slot for the kernel's SYN patience); the header bound is generous
+// because a cold /v1/run legitimately computes for minutes before its
+// first response byte.
+const (
+	dialTimeout           = 5 * time.Second
+	responseHeaderTimeout = 5 * time.Minute
+)
+
 // defaultRemoteClient serves NewRemote callers that pass no client. No
 // overall timeout — a cold sweep job can legitimately simulate for a long
 // time, so per-request lifetimes come from the dispatch context — but the
@@ -56,8 +66,8 @@ type Remote struct {
 // a dead or wedged peer fails the attempt instead of pinning an inflight
 // slot indefinitely.
 var defaultRemoteClient = &http.Client{Transport: &http.Transport{
-	DialContext:           (&net.Dialer{Timeout: defaultDialTimeout}).DialContext,
-	ResponseHeaderTimeout: defaultResponseHeaderTimeout,
+	DialContext:           (&net.Dialer{Timeout: dialTimeout}).DialContext,
+	ResponseHeaderTimeout: responseHeaderTimeout,
 	MaxIdleConnsPerHost:   defaultInflight,
 	IdleConnTimeout:       90 * time.Second,
 }}

@@ -1,7 +1,7 @@
 // Package dispatch shards simulation batches across multiple jfserved
 // instances. A Dispatcher fronts N backends — remote peers spoken to over
 // the /v1/run HTTP API, plus the in-process scheduler as a terminal
-// fallback — behind the same RunBatch-shaped interface serve.Scheduler
+// fallback — behind the same batch-shaped interface serve.Scheduler
 // exposes, so the HTTP surface, the bench driver and the experiment sweeps
 // can switch between one node and many without changing shape.
 //
@@ -32,8 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"net/url"
 	"sync/atomic"
 	"time"
@@ -49,34 +47,21 @@ import (
 const (
 	defaultInflight         = 8
 	defaultFailureThreshold = 3
-
-	// defaultDialTimeout / defaultResponseHeaderTimeout bound the default
-	// peer client. The dial bound is tight (a dead host must fail fast,
-	// not pin an inflight slot for the kernel's SYN patience); the header
-	// bound is generous because a cold /v1/run legitimately computes for
-	// minutes before its first response byte.
-	defaultDialTimeout           = 5 * time.Second
-	defaultResponseHeaderTimeout = 5 * time.Minute
 )
 
 // Options configures a Dispatcher.
 type Options struct {
 	// Peers are the base URLs of remote jfserved instances (e.g.
 	// "http://10.0.0.7:8077"). They must serve the same method and
-	// configuration registry as this process.
+	// configuration registry as this process. Every peer is spoken to
+	// through NewRemote's default client.
 	Peers []string
-	// Client is the HTTP client for peer traffic (nil uses a dedicated
-	// client with per-host keep-alive sized to the inflight bound).
-	Client *http.Client
 	// Local is the in-process scheduler: the terminal fallback for jobs
 	// whose remote attempts fail, and the source of the default mesh-cycle
 	// bound. Required.
 	Local *serve.Scheduler
 	// MaxInflight bounds concurrent jobs per backend (<=0 uses 8).
 	MaxInflight int
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (<=0 uses 128).
-	Replicas int
 	// FailureThreshold suspends a backend after this many consecutive
 	// transient failures (<=0 uses 3).
 	FailureThreshold int
@@ -98,11 +83,6 @@ type Options struct {
 	// the rest of the fleet is hit on a backend's behalf.
 	RetryBurst int
 	RetryRate  float64
-	// DialTimeout / ResponseHeaderTimeout bound the default peer client's
-	// connection establishment and time-to-first-header (<=0 uses 5s /
-	// 5m). Ignored when Client is set.
-	DialTimeout           time.Duration
-	ResponseHeaderTimeout time.Duration
 	// Now and Rand are test seams for the probe schedule and its jitter
 	// (nil uses time.Now and math/rand).
 	Now  func() time.Time
@@ -173,32 +153,6 @@ func New(opts Options) (*Dispatcher, error) {
 	if opts.Local == nil {
 		return nil, errors.New("dispatch: Options.Local scheduler is required")
 	}
-	client := opts.Client
-	if client == nil {
-		inflight := opts.MaxInflight
-		if inflight <= 0 {
-			inflight = defaultInflight
-		}
-		dial := opts.DialTimeout
-		if dial <= 0 {
-			dial = defaultDialTimeout
-		}
-		header := opts.ResponseHeaderTimeout
-		if header <= 0 {
-			header = defaultResponseHeaderTimeout
-		}
-		// No overall client timeout: a cold job legitimately computes for
-		// minutes and the per-request lifetime comes from the dispatch
-		// context. The transport bounds are what keep a hung peer from
-		// pinning an inflight slot forever: a dead host fails at the dial
-		// bound, a wedged one at the time-to-first-header bound.
-		client = &http.Client{Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: dial}).DialContext,
-			ResponseHeaderTimeout: header,
-			MaxIdleConns:          inflight * (len(opts.Peers) + 1),
-			MaxIdleConnsPerHost:   inflight,
-		}}
-	}
 	backends := make([]Backend, 0, len(opts.Peers))
 	seen := make(map[string]bool, len(opts.Peers))
 	for _, p := range opts.Peers {
@@ -206,7 +160,7 @@ func New(opts Options) (*Dispatcher, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("dispatch: bad peer URL %q", p)
 		}
-		r := NewRemote(p, client)
+		r := NewRemote(p, nil)
 		if seen[r.Name()] {
 			return nil, fmt.Errorf("dispatch: duplicate peer %q", r.Name())
 		}
@@ -252,7 +206,7 @@ func NewWithBackends(backends []Backend, opts Options) (*Dispatcher, error) {
 			probeBackoff: admit.NewBackoff(opts.ProbeBackoffBase, opts.ProbeBackoffCap, opts.Rand),
 		})
 	}
-	d.ring = newRing(names, opts.Replicas)
+	d.ring = newRing(names)
 	d.register(opts.Registry)
 	return d, nil
 }

@@ -3,13 +3,14 @@ package dispatch
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
 func TestRingDeterministicOwnership(t *testing.T) {
 	names := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(names, 0)
-	r2 := newRing(names, 0)
+	r1 := newRing(names)
+	r2 := newRing(names)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("pkg/Class.method/%d", i)
 		if got, want := r1.owner(key, nil), r2.owner(key, nil); got != want {
@@ -26,7 +27,7 @@ func TestRingDeterministicOwnership(t *testing.T) {
 // that keeps deployment caches hot through peer failures.
 func TestRingFailureMovesOnlyFailedKeys(t *testing.T) {
 	names := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(names, 0)
+	r := newRing(names)
 	const dead = 1
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("pkg/Class.method/%d", i)
@@ -48,7 +49,7 @@ func TestRingFailureMovesOnlyFailedKeys(t *testing.T) {
 
 func TestRingSharesRoughlyEven(t *testing.T) {
 	names := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := newRing(names, 0)
+	r := newRing(names)
 	shares := r.shares()
 	total := 0.0
 	for i, s := range shares {
@@ -75,5 +76,22 @@ func TestRingSharesRoughlyEven(t *testing.T) {
 			t.Fatalf("backend %d: observed %.1f%% of keys vs %.1f%% ring share",
 				i, 100*frac, 100*shares[i])
 		}
+	}
+
+	// Two backends whose names differ only in the last port digit — the
+	// shape of every single-host fleet — must still split the circle
+	// near evenly. Plain FNV-1a put the larger share at median 0.65 and
+	// max 0.97 over these 1,000 pairs.
+	larger := make([]float64, 0, 1000)
+	for p := 18000; p < 19000; p++ {
+		sh := newRing([]string{
+			fmt.Sprintf("http://127.0.0.1:%d", p),
+			fmt.Sprintf("http://127.0.0.1:%d", p+1),
+		}).shares()
+		larger = append(larger, math.Max(sh[0], sh[1]))
+	}
+	sort.Float64s(larger)
+	if med, max := larger[len(larger)/2], larger[len(larger)-1]; med > 0.55 || max > 0.65 {
+		t.Fatalf("adjacent-port pairs: larger share median %.3f (want <= 0.55), max %.3f (want <= 0.65)", med, max)
 	}
 }

@@ -31,7 +31,7 @@ func (c *Context) AblationSerialRatio() (*report.Table, error) {
 	var base float64
 	for _, r := range ratios {
 		cfg := sim.Config{Name: fmt.Sprintf("serial=%d", r), Fabric: f, SerialPerMesh: r}
-		cr, err := c.Scheduler().RunAll(context.Background(), cfg, namedMethods())
+		cr, err := c.Scheduler().RunAllCycles(context.Background(), cfg, namedMethods(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func (c *Context) AblationMeshWidth() (*report.Table, error) {
 			Fabric:        fabric.NewFabric(w, fabric.PatternCompact),
 			SerialPerMesh: 2,
 		}
-		cr, err := c.Scheduler().RunAll(context.Background(), cfg, namedMethods())
+		cr, err := c.Scheduler().RunAllCycles(context.Background(), cfg, namedMethods(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func (c *Context) AblationHeteroPattern() (*report.Table, error) {
 			Fabric:        fabric.NewFabric(10, pat.p),
 			SerialPerMesh: 2,
 		}
-		cr, err := c.Scheduler().RunAll(context.Background(), cfg, namedMethods())
+		cr, err := c.Scheduler().RunAllCycles(context.Background(), cfg, namedMethods(), 0)
 		if err != nil {
 			return nil, err
 		}

@@ -179,3 +179,24 @@ func TestNewIDFormat(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTrace: X-Javaflow-Trace arrives from any client or peer. No
+// input panics the parser, and an accepted header re-parses from its
+// rendered form to the same context with the hop inside 0..64.
+func FuzzParseTrace(f *testing.F) {
+	f.Add("0123456789abcdef-fedcba9876543210-3")
+	f.Add("0123456789abcdef-0123456789abcdef-64")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTrace(s)
+		if !ok {
+			return
+		}
+		if tc.Hop < 0 || tc.Hop > 64 {
+			t.Fatalf("ParseTrace(%q) accepted hop %d", s, tc.Hop)
+		}
+		again, ok := ParseTrace(tc.Header())
+		if !ok || again != tc {
+			t.Fatalf("ParseTrace(%q) = %+v, but its header %q re-parses to %+v, %v", s, tc, tc.Header(), again, ok)
+		}
+	})
+}

@@ -26,7 +26,8 @@ import (
 const (
 	// DefaultGossipTTL is the hop budget on locally originated rumors:
 	// with fanout f and TTL t a rumor can reach f^t nodes, so 3 hops at
-	// log-N fanout covers any fleet this system targets.
+	// log-N fanout covers any fleet this system targets. Together with
+	// rumor-ID dedup it makes rumors die out instead of echoing forever.
 	DefaultGossipTTL = 3
 	// maxGossipTTL caps the TTL accepted from the wire, so a buggy or
 	// hostile peer cannot mint immortal rumors.
@@ -87,7 +88,6 @@ type NotifyOutcome struct {
 type gossip struct {
 	advertise string
 	fanout    int
-	ttl       int
 	dirty     chan struct{} // append-hook wakeups, capacity 1
 
 	mu sync.Mutex
@@ -102,27 +102,20 @@ type gossip struct {
 	pulls, relayed             atomic.Int64
 }
 
-// newGossip sizes the fanout for a fleet of peerCount peers.
-func newGossip(advertise string, peerCount, fanout, ttl int) *gossip {
-	if fanout <= 0 {
-		fanout = int(math.Ceil(math.Log2(float64(peerCount + 1))))
-	}
+// newGossip sizes the fanout for a fleet of peerCount peers at
+// ceil(log2(peerCount+1)) — the classic epidemic fanout that reaches N
+// nodes in O(log N) hops — clamped to [1, peerCount].
+func newGossip(advertise string, peerCount int) *gossip {
+	fanout := int(math.Ceil(math.Log2(float64(peerCount + 1))))
 	if fanout < 1 {
 		fanout = 1
 	}
 	if fanout > peerCount {
 		fanout = peerCount
 	}
-	if ttl <= 0 {
-		ttl = DefaultGossipTTL
-	}
-	if ttl > maxGossipTTL {
-		ttl = maxGossipTTL
-	}
 	return &gossip{
 		advertise:      advertise,
 		fanout:         fanout,
-		ttl:            ttl,
 		dirty:          make(chan struct{}, 1),
 		lastAdvertised: make(map[int]int64),
 		rumorSeen:      make(map[string]bool),
@@ -175,8 +168,8 @@ func (r *Replicator) startGossip(ctx context.Context) <-chan struct{} {
 }
 
 // AdvertiseNow flushes the store and pushes the not-yet-advertised
-// segment delta at GossipFanout random peers. It is a no-op when nothing
-// grew since the last successful advertisement. Exposed for tests; the
+// segment delta at fanout random peers. It is a no-op when nothing grew
+// since the last successful advertisement. Exposed for tests; the
 // notifier loop is the normal caller.
 //
 // The advertisement runs under its own trace span (a fresh trace unless
@@ -221,7 +214,7 @@ func (r *Replicator) AdvertiseNow(ctx context.Context) (err error) {
 		return nil
 	}
 	sort.Slice(delta, func(i, j int) bool { return delta[i].Seq < delta[j].Seq })
-	n := Notification{Origin: g.advertise, TTL: g.ttl, Segments: delta}
+	n := Notification{Origin: g.advertise, TTL: DefaultGossipTTL, Segments: delta}
 	targets := r.pickTargets(g.fanout, g.advertise)
 	ok := r.sendNotify(ctx, n, targets)
 	span.SetAttr("segments", strconv.Itoa(len(delta)))
@@ -484,7 +477,7 @@ func (r *Replicator) gossipStats() *GossipStats {
 	return &GossipStats{
 		Advertise:      g.advertise,
 		Fanout:         g.fanout,
-		TTL:            g.ttl,
+		TTL:            DefaultGossipTTL,
 		RumorsSent:     g.sent.Load(),
 		SendErrors:     g.sendErrors.Load(),
 		RumorsReceived: g.received.Load(),

@@ -93,17 +93,10 @@ type Options struct {
 	// lists, or they will drop the rumor as unknown-origin). With gossip
 	// enabled, Start also installs a store append hook: every committed
 	// payload record wakes the notifier, which advertises the (segment
-	// seq, size, CRC) delta to GossipFanout random peers; the periodic
-	// pull loop remains the repair path for missed rumors.
+	// seq, size, CRC) delta to ceil(log2(len(Peers)+1)) random peers
+	// with a hop budget of DefaultGossipTTL; the periodic pull loop
+	// remains the repair path for missed rumors.
 	Advertise string
-	// GossipFanout is how many random peers each advertisement (and each
-	// onward relay) targets. <=0 picks ceil(log2(len(Peers)+1)) — the
-	// classic epidemic fanout that reaches N nodes in O(log N) hops.
-	GossipFanout int
-	// GossipTTL is the hop budget stamped on locally originated rumors
-	// (<=0 uses DefaultGossipTTL). Together with rumor-ID dedup it makes
-	// rumors die out instead of echoing forever.
-	GossipTTL int
 
 	// Tracer records pull and gossip spans; pass the serving node's
 	// serve.Metrics tracer so replication hops land in the same
@@ -205,7 +198,7 @@ func New(opts Options) (*Replicator, error) {
 		r.peers = append(r.peers, &peerState{name: p})
 	}
 	if opts.Advertise != "" {
-		r.g = newGossip(normalizePeer(opts.Advertise), len(r.peers), opts.GossipFanout, opts.GossipTTL)
+		r.g = newGossip(normalizePeer(opts.Advertise), len(r.peers))
 	}
 	r.tracer = opts.Tracer
 	r.journal = opts.Journal

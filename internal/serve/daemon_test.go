@@ -217,7 +217,7 @@ func TestDaemonListenFailureClosesStore(t *testing.T) {
 	svc := NewService(sched, sim.Configurations(), methods)
 
 	// Seed one record so the flush is observable.
-	if _, err := sched.RunMethod(context.Background(), testConfig(t, "Compact2"), methods[0]); err != nil {
+	if _, err := sched.RunMethodCycles(context.Background(), testConfig(t, "Compact2"), methods[0], 0); err != nil {
 		t.Fatal(err)
 	}
 

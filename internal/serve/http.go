@@ -173,12 +173,8 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/store", func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := storeOr404(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		rep := StoreReport{AdminReport: st.Admin()}
@@ -194,12 +190,8 @@ func NewHandler(svc *Service) http.Handler {
 	// this node's own replicator (tests and ops use it to avoid waiting an
 	// interval).
 	mux.HandleFunc("GET /v1/replicate/segments", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := storeOr404(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		manifest, err := st.Manifest()
@@ -211,12 +203,8 @@ func NewHandler(svc *Service) http.Handler {
 	}))
 
 	mux.HandleFunc("GET /v1/replicate/segment/{seq}", guard(svc, admit.ClassReplicate, func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := storeOr404(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		seq, err := strconv.Atoi(r.PathValue("seq"))
@@ -282,7 +270,7 @@ func NewHandler(svc *Service) http.Handler {
 		rp := svc.Replicator()
 		if rp == nil || !rp.GossipEnabled() {
 			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: gossip not enabled on this node (start with -peers, -replicate-interval and no -gossip-disable)",
+				Error: "serve: gossip not enabled on this node (start with -peers, -replicate-interval and -store-dir)",
 				Kind:  ErrKindNotFound,
 			})
 			return
@@ -308,12 +296,8 @@ func NewHandler(svc *Service) http.Handler {
 	// or a segment another process is still appending to can be dropped
 	// beyond the bytes this process saw at startup.
 	mux.HandleFunc("POST /v1/store/compact", func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Scheduler().Store()
+		st := storeOr404(w, svc)
 		if st == nil {
-			writeJSON(w, http.StatusNotFound, ErrorPayload{
-				Error: "serve: no persistent store attached (start with -store-dir)",
-				Kind:  ErrKindNotFound,
-			})
 			return
 		}
 		if err := st.Compact(); err != nil {
@@ -340,17 +324,9 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 || v > 4096 {
-				writeJSON(w, http.StatusBadRequest, ErrorPayload{
-					Error: fmt.Sprintf("serve: bad span count %q", q),
-					Kind:  ErrKindInternal,
-				})
-				return
-			}
-			n = v
+		n, ok := countParam(w, r, "span")
+		if !ok {
+			return
 		}
 		writeJSON(w, http.StatusOK, metrics.Tracer().Dump(n))
 	})
@@ -388,17 +364,9 @@ func NewHandler(svc *Service) http.Handler {
 	// ?subsystem= keeps one subsystem, ?severity= sets the floor
 	// (info|warn|error), ?n= caps the count.
 	mux.HandleFunc("GET /debug/events", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 || v > 4096 {
-				writeJSON(w, http.StatusBadRequest, ErrorPayload{
-					Error: fmt.Sprintf("serve: bad event count %q", q),
-					Kind:  ErrKindInternal,
-				})
-				return
-			}
-			n = v
+		n, ok := countParam(w, r, "event")
+		if !ok {
+			return
 		}
 		minSev := obs.SevInfo
 		if q := r.URL.Query().Get("severity"); q != "" {
@@ -420,6 +388,39 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	return instrument(metrics, mux)
+}
+
+// storeOr404 returns the node's persistent store, or answers the typed
+// 404 every store-backed route shares on a memory-only node and returns
+// nil.
+func storeOr404(w http.ResponseWriter, svc *Service) *store.Store {
+	st := svc.Scheduler().Store()
+	if st == nil {
+		writeJSON(w, http.StatusNotFound, ErrorPayload{
+			Error: "serve: no persistent store attached (start with -store-dir)",
+			Kind:  ErrKindNotFound,
+		})
+	}
+	return st
+}
+
+// countParam parses the ?n= cap of the debug dumps: 64 when absent,
+// 1..4096 when given. A bad value answers 400 naming what is counted and
+// reports false.
+func countParam(w http.ResponseWriter, r *http.Request, what string) (int, bool) {
+	q := r.URL.Query().Get("n")
+	if q == "" {
+		return 64, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n <= 0 || n > 4096 {
+		writeJSON(w, http.StatusBadRequest, ErrorPayload{
+			Error: fmt.Sprintf("serve: bad %s count %q", what, q),
+			Kind:  ErrKindInternal,
+		})
+		return 0, false
+	}
+	return n, true
 }
 
 // guard is the overload-protection wrapper for one admission class. It

@@ -49,7 +49,7 @@ type SchedulerOptions struct {
 	Store *store.Store
 }
 
-// BatchRunner is the RunBatch-shaped seam between the HTTP surface and
+// BatchRunner is the batch-shaped seam between the HTTP surface and
 // whatever executes jobs: the process-local Scheduler, or a dispatcher
 // fanning jobs across remote jfserved instances (internal/dispatch).
 // Implementations must fill one result per job in submission order and,
@@ -167,14 +167,10 @@ func (s *Scheduler) runner(ctx context.Context, maxCycles int) *sim.Runner {
 	}
 }
 
-// RunMethod executes one job synchronously through the cache (no pool).
-func (s *Scheduler) RunMethod(ctx context.Context, cfg sim.Config, m *classfile.Method) (sim.MethodRun, error) {
-	return s.RunMethodCycles(ctx, cfg, m, 0)
-}
-
-// RunMethodCycles is RunMethod with an explicit per-execution mesh-cycle
-// bound overriding the scheduler default (0 keeps the default). It is the
-// per-job entry point dispatch backends call directly.
+// RunMethodCycles executes one job synchronously through the store and
+// the cache (no pool) under a per-execution mesh-cycle bound (0 keeps the
+// scheduler default). It is the per-job entry point dispatch backends call
+// directly.
 func (s *Scheduler) RunMethodCycles(ctx context.Context, cfg sim.Config, m *classfile.Method, maxCycles int) (sim.MethodRun, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.MethodRun{}, err
@@ -235,16 +231,11 @@ func jobOutcome(err error) string {
 	return "error"
 }
 
-// RunBatch executes jobs across the worker pool and returns one result per
-// job, in submission order. Cancelling ctx stops the pool: jobs already
-// executing abort at the engine's next preemption check, jobs not yet
-// started report ctx.Err().
-func (s *Scheduler) RunBatch(ctx context.Context, jobs []Job) []JobResult {
-	return s.RunBatchCycles(ctx, jobs, 0)
-}
-
-// RunBatchCycles is RunBatch with an explicit per-execution mesh-cycle
-// bound overriding the scheduler default (0 keeps the default).
+// RunBatchCycles executes jobs across the worker pool under a
+// per-execution mesh-cycle bound (0 keeps the scheduler default) and
+// returns one result per job, in submission order. Cancelling ctx stops
+// the pool: jobs already executing abort at the engine's next preemption
+// check, jobs not yet started report ctx.Err().
 func (s *Scheduler) RunBatchCycles(ctx context.Context, jobs []Job, maxCycles int) []JobResult {
 	return s.RunBatchStream(ctx, jobs, maxCycles, nil)
 }
@@ -253,7 +244,7 @@ func (s *Scheduler) RunBatchCycles(ctx context.Context, jobs []Job, maxCycles in
 // result through emit (when non-nil) in submission order as soon as it and
 // every earlier job have completed — the seam POST /v1/batch?stream=ndjson
 // flows through. The returned slice is the same submission-ordered result
-// set RunBatch produces.
+// set RunBatchCycles produces.
 func (s *Scheduler) RunBatchStream(ctx context.Context, jobs []Job, maxCycles int, emit func(i int, r JobResult)) []JobResult {
 	return RunPool(ctx, jobs, s.workers, func(ctx context.Context, j Job) (sim.MethodRun, error) {
 		return s.RunMethodCycles(ctx, j.Config, j.Method, maxCycles)
@@ -351,39 +342,12 @@ func RunPool(ctx context.Context, jobs []Job, workers int, run func(ctx context.
 	return results
 }
 
-// Sweep fans a full cross product (methods × configs) across the pool and
-// returns results grouped by configuration, each group in method order —
-// the batch-submission shape POST /v1/batch and the Chapter-7 table sweeps
-// share.
-func (s *Scheduler) Sweep(ctx context.Context, configs []sim.Config, methods []*classfile.Method) [][]JobResult {
-	jobs := make([]Job, 0, len(configs)*len(methods))
-	for _, cfg := range configs {
-		for _, m := range methods {
-			jobs = append(jobs, Job{Config: cfg, Method: m})
-		}
-	}
-	flat := s.RunBatch(ctx, jobs)
-	out := make([][]JobResult, len(configs))
-	for i := range configs {
-		out[i] = flat[i*len(methods) : (i+1)*len(methods)]
-	}
-	return out
-}
-
-// RunAll is the pooled, cached equivalent of sim.Runner.RunAll: it executes
-// the population on one configuration, skips fabric-rejected methods,
-// filters timeouts, and produces results identical to the serial path.
-func (s *Scheduler) RunAll(ctx context.Context, cfg sim.Config, methods []*classfile.Method) (*sim.ConfigResults, error) {
-	return s.runAllCycles(ctx, cfg, methods, 0)
-}
-
-// RunAllCycles is RunAll with an explicit per-execution mesh-cycle bound
-// overriding the scheduler default (0 keeps the default).
+// RunAllCycles is the pooled, cached equivalent of sim.Runner.RunAll: it
+// executes the population on one configuration under a per-execution
+// mesh-cycle bound (0 keeps the scheduler default), skips fabric-rejected
+// methods, filters timeouts, and produces results identical to the serial
+// path.
 func (s *Scheduler) RunAllCycles(ctx context.Context, cfg sim.Config, methods []*classfile.Method, maxCycles int) (*sim.ConfigResults, error) {
-	return s.runAllCycles(ctx, cfg, methods, maxCycles)
-}
-
-func (s *Scheduler) runAllCycles(ctx context.Context, cfg sim.Config, methods []*classfile.Method, maxCycles int) (*sim.ConfigResults, error) {
 	jobs := make([]Job, len(methods))
 	for i, m := range methods {
 		jobs[i] = Job{Config: cfg, Method: m}

@@ -29,7 +29,7 @@ func TestRunAllMatchesSerialRunner(t *testing.T) {
 		}
 
 		sched := NewScheduler(SchedulerOptions{Workers: 8, MaxMeshCycles: testMaxCycles})
-		got, err := sched.RunAll(context.Background(), cfg, methods)
+		got, err := sched.RunAllCycles(context.Background(), cfg, methods, 0)
 		if err != nil {
 			t.Fatalf("scheduler RunAll(%s): %v", name, err)
 		}
@@ -52,11 +52,11 @@ func TestRunAllDeterministicAcrossRuns(t *testing.T) {
 	cfg := testConfig(t, "Compact4")
 	sched := NewScheduler(SchedulerOptions{Workers: 6, MaxMeshCycles: testMaxCycles})
 
-	first, err := sched.RunAll(context.Background(), cfg, methods)
+	first, err := sched.RunAllCycles(context.Background(), cfg, methods, 0)
 	if err != nil {
 		t.Fatalf("first sweep: %v", err)
 	}
-	second, err := sched.RunAll(context.Background(), cfg, methods)
+	second, err := sched.RunAllCycles(context.Background(), cfg, methods, 0)
 	if err != nil {
 		t.Fatalf("second sweep: %v", err)
 	}
@@ -74,18 +74,23 @@ func TestSweepSharesCacheAcrossConfigs(t *testing.T) {
 	configs := []sim.Config{testConfig(t, "Compact2"), testConfig(t, "Sparse2")}
 	sched := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles})
 
-	groups := sched.Sweep(context.Background(), configs, methods)
-	if len(groups) != 2 || len(groups[0]) != 4 || len(groups[1]) != 4 {
-		t.Fatalf("sweep shape = %d groups", len(groups))
+	var jobs []Job
+	for _, cfg := range configs {
+		for _, m := range methods {
+			jobs = append(jobs, Job{Config: cfg, Method: m})
+		}
 	}
-	for gi, group := range groups {
-		for mi, r := range group {
-			if r.Err != nil {
-				t.Fatalf("group %d job %d: %v", gi, mi, r.Err)
-			}
-			if r.Run.Signature != methods[mi].Signature() {
-				t.Fatalf("group %d job %d out of order: %s", gi, mi, r.Run.Signature)
-			}
+	results := sched.RunBatchCycles(context.Background(), jobs, 0)
+	if len(results) != 8 {
+		t.Fatalf("sweep returned %d results, want 8", len(results))
+	}
+	for i, r := range results {
+		gi, mi := i/len(methods), i%len(methods)
+		if r.Err != nil {
+			t.Fatalf("group %d job %d: %v", gi, mi, r.Err)
+		}
+		if r.Run.Signature != methods[mi].Signature() || r.Run.BP1.Config != configs[gi].Name {
+			t.Fatalf("group %d job %d out of order: %s on %s", gi, mi, r.Run.Signature, r.Run.BP1.Config)
 		}
 	}
 	// 4 methods × 2 configs = 8 distinct deployments, all misses.
@@ -94,7 +99,7 @@ func TestSweepSharesCacheAcrossConfigs(t *testing.T) {
 	}
 
 	// Re-sweeping is all hits.
-	sched.Sweep(context.Background(), configs, methods)
+	sched.RunBatchCycles(context.Background(), jobs, 0)
 	if st := sched.Cache().Stats(); st.Hits != 8 {
 		t.Fatalf("expected warm sweep to hit 8 times: %+v", st)
 	}
@@ -111,7 +116,7 @@ func TestRunBatchPreCancelled(t *testing.T) {
 	for i, m := range methods {
 		jobs[i] = Job{Config: cfg, Method: m}
 	}
-	results := sched.RunBatch(ctx, jobs)
+	results := sched.RunBatchCycles(ctx, jobs, 0)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}
@@ -141,7 +146,7 @@ func TestRunBatchCancellationMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan []JobResult, 1)
-	go func() { done <- sched.RunBatch(ctx, jobs) }()
+	go func() { done <- sched.RunBatchCycles(ctx, jobs, 0) }()
 
 	// Cancel once at least one job has completed, so the cancellation
 	// lands mid-stream rather than before the pool starts.
@@ -183,7 +188,7 @@ func TestRunMethodThroughCache(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := sched.RunMethod(context.Background(), cfg, methods[0])
+		got, err := sched.RunMethodCycles(context.Background(), cfg, methods[0], 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

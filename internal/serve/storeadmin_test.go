@@ -71,3 +71,33 @@ func TestHTTPStoreAdmin(t *testing.T) {
 		t.Fatalf("compactions = %d after POST /v1/store/compact", rep.Compactions)
 	}
 }
+
+// TestPreambleAnswersOnMemoryOnlyNode pins the exact bytes of the shared
+// early answers: the 404 of every store-backed route on a node without a
+// store, and the 400 of a bad ?n= on both debug dumps.
+func TestPreambleAnswersOnMemoryOnlyNode(t *testing.T) {
+	svc := NewService(NewScheduler(SchedulerOptions{Workers: 1, MaxMeshCycles: testMaxCycles}), sim.Configurations(), nil)
+	h := NewHandler(svc)
+	const noStore = "{\n  \"error\": \"serve: no persistent store attached (start with -store-dir)\",\n  \"kind\": \"not_found\"\n}\n"
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		body         string
+	}{
+		{"GET", "/v1/store", http.StatusNotFound, noStore},
+		{"POST", "/v1/store/compact", http.StatusNotFound, noStore},
+		{"GET", "/v1/replicate/segments", http.StatusNotFound, noStore},
+		{"GET", "/v1/replicate/segment/1", http.StatusNotFound, noStore},
+		{"GET", "/debug/traces?n=0", http.StatusBadRequest, "{\n  \"error\": \"serve: bad span count \\\"0\\\"\",\n  \"kind\": \"internal\"\n}\n"},
+		{"GET", "/debug/events?n=x", http.StatusBadRequest, "{\n  \"error\": \"serve: bad event count \\\"x\\\"\",\n  \"kind\": \"internal\"\n}\n"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.status || rec.Body.String() != tc.body {
+			t.Errorf("%s %s: status %d body %q, want %d %q", tc.method, tc.path, rec.Code, rec.Body.String(), tc.status, tc.body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q", tc.method, tc.path, ct)
+		}
+	}
+}

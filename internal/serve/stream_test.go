@@ -42,7 +42,7 @@ func TestRunBatchStreamOrdered(t *testing.T) {
 	}
 
 	plain := NewScheduler(SchedulerOptions{Workers: 4, MaxMeshCycles: testMaxCycles}).
-		RunBatch(context.Background(), jobs)
+		RunBatchCycles(context.Background(), jobs, 0)
 	for i := range plain {
 		if streamed[i].Err != nil || plain[i].Err != nil {
 			t.Fatalf("job %d errored: %v / %v", i, streamed[i].Err, plain[i].Err)

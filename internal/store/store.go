@@ -78,9 +78,6 @@ type Options struct {
 	// MaxSegmentBytes rotates the active segment when it grows past this
 	// (<=0 uses DefaultMaxSegmentBytes).
 	MaxSegmentBytes int64
-	// SyncEveryPut fsyncs after every append instead of only on rotate,
-	// Flush and Close. Durable against power loss, ~100x slower.
-	SyncEveryPut bool
 }
 
 // indexEntry is one live record in memory.
@@ -439,9 +436,6 @@ func (s *Store) appendToDisk(rec record) error {
 			s.segCount++
 		}
 		return err
-	}
-	if s.opts.SyncEveryPut {
-		return s.active.Sync()
 	}
 	return nil
 }
